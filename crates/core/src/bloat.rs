@@ -150,12 +150,14 @@ impl BloatRecovery {
     fn next_huge_region(&mut self, m: &Machine, pid: u32) -> Option<Hvpn> {
         let p = m.process(pid)?;
         let cursor = self.cursors.get(&pid).copied().unwrap_or(0);
-        let regions: Vec<Hvpn> = p.space().page_table().huge_mappings().map(|(h, _)| h).collect();
-        let found = regions
-            .iter()
-            .copied()
+        let pt = p.space().page_table();
+        // `huge_mappings` walks in VA order, so the first hit at or after
+        // the cursor is the next region, and the first overall the wrap.
+        let found = pt
+            .huge_mappings()
+            .map(|(h, _)| h)
             .find(|h| h.0 >= cursor)
-            .or_else(|| regions.first().copied());
+            .or_else(|| pt.huge_mappings().next().map(|(h, _)| h));
         if let Some(h) = found {
             self.cursors.insert(pid, h.0 + 1);
         }

@@ -891,10 +891,10 @@ impl Machine {
         }
     }
 
-    /// Replays the recorded per-core plan (no-op at `cores = 1`): the
-    /// deterministic interleaving publishes `lock.*` counters and
-    /// [`TraceEvent::Contention`] events; the real-thread replay feeds
-    /// [`crate::core_stats`]. The simulator calls this at run-loop exit.
+    /// Replays the recorded per-core plan on virtual clocks (no-op at
+    /// `cores = 1`), publishing `lock.*` counters and
+    /// [`TraceEvent::Contention`] events. The simulator calls this at
+    /// run-loop exit.
     pub fn drain_concurrency(&mut self) {
         if let Some(rec) = self.conc.as_mut() {
             rec.drain(&self.metrics, &self.trace);
@@ -1002,7 +1002,6 @@ fn migrate_frame(
     }
     p.space_mut().page_table_mut().remap_base(vpn, dst).expect("entry checked");
     mmu.invalidate_page(owner.pid, vpn);
-    let _ = src;
     true
 }
 

@@ -23,6 +23,12 @@ use hawkeye_kernel::{
 use hawkeye_policies::{FreeBsd, Ingens, IngensConfig, LinuxThp};
 use hawkeye_trace::{Journal, TraceEvent, TraceRecord};
 use hawkeye_vm::{Vpn, VmaKind};
+use std::sync::RwLock;
+
+/// `Simulator::new` reads `HAWKEYE_CORES`, so every simulation in this
+/// binary holds this shared while the env-override test holds it
+/// exclusively to set and restore the variable.
+static CORES_ENV: RwLock<()> = RwLock::new(());
 
 /// The nine evaluated policies (the bench suite's `PolicyKind` matrix),
 /// built fresh per run.
@@ -77,6 +83,7 @@ struct RunOut {
 }
 
 fn run(cores: u32, policy: Box<dyn HugePagePolicy>, tag: &str) -> RunOut {
+    let _env = CORES_ENV.read().unwrap_or_else(|e| e.into_inner());
     hawkeye_metrics::registry::scope::begin();
     hawkeye_trace::scope::begin(1 << 18);
     let mut cfg = KernelConfig::small();
@@ -196,8 +203,9 @@ fn contending_daemons_retry_cas_here() {
 #[test]
 fn hawkeye_cores_env_overrides_config() {
     // The knob is read at Simulator::new; exercise both directions.
-    // (Env vars are process-global — set, test, and restore immediately;
-    // no other test in this binary reads HAWKEYE_CORES concurrently.)
+    // (Env vars are process-global — set, test, and restore under the
+    // exclusive lock so no concurrent run reads the override.)
+    let _env = CORES_ENV.write().unwrap_or_else(|e| e.into_inner());
     std::env::set_var("HAWKEYE_CORES", "4");
     let sim = Simulator::new(KernelConfig::small(), Box::new(BasePagesOnly));
     assert!(sim.machine().concurrency().is_some(), "HAWKEYE_CORES=4 enables recording");

@@ -57,7 +57,7 @@ where
         stats.scanned_regions += 1;
         let mut movable = 0u64;
         let mut free = 0u64;
-        let mut unmovable = 0u64;
+        let mut unmovable = false;
         for i in 0..BASE_PAGES_PER_HUGE {
             let f = pm.frame(Pfn(base + i));
             if f.is_free() {
@@ -65,10 +65,13 @@ where
             } else if f.is_movable() {
                 movable += 1;
             } else {
-                unmovable += 1;
+                // One unmovable frame (huge-mapped, pinned, kernel-held)
+                // rules the region out; the rest need not be counted.
+                unmovable = true;
+                break;
             }
         }
-        if unmovable == 0 && movable > 0 && free > 0 {
+        if !unmovable && movable > 0 && free > 0 {
             candidates.push(RegionSummary { base: Pfn(base), movable });
         }
         base += BASE_PAGES_PER_HUGE;
@@ -118,7 +121,7 @@ where
     let mut aborted = false;
     for i in 0..BASE_PAGES_PER_HUGE {
         let src = Pfn(base.0 + i);
-        if claimed.contains(&src) || pm.frame(src).is_free() {
+        if claimed.contains(i) || pm.frame(src).is_free() {
             continue;
         }
         if !pm.frame(src).is_movable() {
@@ -166,8 +169,8 @@ where
             pm.frame_mut(src).set_owner(None);
             pm.free(src, Order(0));
         }
-        for pfn in claimed {
-            pm.free(pfn, Order(0));
+        for i in claimed.offsets() {
+            pm.free(Pfn(base.0 + i), Order(0));
         }
         return false;
     }
@@ -182,10 +185,30 @@ where
     true
 }
 
+/// One bit per base page of a huge region: the frames
+/// [`claim_free_in_region`] took off the free lists.
+#[derive(Debug, Default)]
+struct RegionMask([u64; (BASE_PAGES_PER_HUGE / 64) as usize]);
+
+impl RegionMask {
+    fn set(&mut self, offset: u64) {
+        self.0[(offset / 64) as usize] |= 1 << (offset % 64);
+    }
+
+    fn contains(&self, offset: u64) -> bool {
+        self.0[(offset / 64) as usize] & (1 << (offset % 64)) != 0
+    }
+
+    /// The set offsets in ascending order.
+    fn offsets(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..BASE_PAGES_PER_HUGE).filter(|&i| self.contains(i))
+    }
+}
+
 /// Removes every free frame of the region from the free lists and marks it
-/// kernel-claimed (allocated, unmovable). Returns the claimed frames.
-fn claim_free_in_region(pm: &mut PhysMemory, base: Pfn) -> Vec<Pfn> {
-    let mut claimed = Vec::new();
+/// kernel-claimed (allocated, unmovable). Returns the claimed offsets.
+fn claim_free_in_region(pm: &mut PhysMemory, base: Pfn) -> RegionMask {
+    let mut claimed = RegionMask::default();
     let region_end = base.0 + BASE_PAGES_PER_HUGE;
     let mut i = base.0;
     while i < region_end {
@@ -201,11 +224,9 @@ fn claim_free_in_region(pm: &mut PhysMemory, base: Pfn) -> Vec<Pfn> {
         // Re-insert any part of the block outside the region (an order-10
         // block spans two huge regions).
         let block_end = head.0 + order.pages();
-        for p in head.0..block_end {
-            if p >= base.0 && p < region_end {
-                pm.claim_mark(Pfn(p));
-                claimed.push(Pfn(p));
-            }
+        for p in head.0.max(base.0)..block_end.min(region_end) {
+            pm.claim_mark(Pfn(p));
+            claimed.set(p - base.0);
         }
         // Outside portions (before/after the region) go back to the lists
         // as order-0 frames; merging restores larger blocks.
@@ -237,6 +258,8 @@ mod tests {
     use crate::buddy::AllocPref;
     use crate::content::PageContent;
     use crate::frame::{FrameKind, OwnerTag};
+    use crate::rng::SplitMix64;
+    use std::collections::BTreeMap;
 
     /// Builds memory where every huge region has a few scattered movable
     /// allocations, so no free huge block exists.
@@ -322,6 +345,119 @@ mod tests {
         assert_eq!(pm.allocated_pages(), before);
         pm.check_invariants();
         let _ = kept;
+    }
+
+    const REGIONS: u64 = 8;
+    /// Region 2 carries a pinned frame in its middle.
+    const PINNED_REGION: u64 = 2;
+
+    fn content_of(vpn: u64) -> PageContent {
+        PageContent::non_zero(1 + (vpn % 4000) as u16)
+    }
+
+    /// Seeded memory of [`REGIONS`] huge regions: regions 0 and 1 form one
+    /// free order-10 block; the pinned region and regions 3.. hold owned
+    /// movable pages interleaved with free frames at seeded densities.
+    /// Returns the memory and the live owned pages (`pfn -> vpn`).
+    fn seeded_memory(seed: u64) -> (PhysMemory, BTreeMap<Pfn, u64>) {
+        let mut pm = PhysMemory::new(REGIONS * BASE_PAGES_PER_HUGE);
+        let mut all = Vec::new();
+        while let Ok(a) = pm.alloc(Order(0), AllocPref::Zeroed) {
+            all.push(a.pfn);
+        }
+        all.sort();
+        let mut rng = SplitMix64::new(seed);
+        let mut live = BTreeMap::new();
+        for pfn in all {
+            let region = pfn.0 / BASE_PAGES_PER_HUGE;
+            let offset = pfn.0 % BASE_PAGES_PER_HUGE;
+            let keep_one_in = 2 + region % 4;
+            if region == PINNED_REGION && offset == BASE_PAGES_PER_HUGE / 2 {
+                pm.frame_mut(pfn).set_kind(FrameKind::Pinned);
+            } else if region >= PINNED_REGION && rng.below(keep_one_in) == 0 {
+                let vpn = 10_000 + pfn.0;
+                let f = pm.frame_mut(pfn);
+                f.set_owner(Some(OwnerTag { pid: 1, vpn }));
+                f.set_content(content_of(vpn));
+                live.insert(pfn, vpn);
+            } else {
+                pm.free(pfn, Order(0));
+            }
+        }
+        (pm, live)
+    }
+
+    /// Compacts seeded memory with a callback that vetoes its `veto_at`-th
+    /// call, checking every migration against a model of the live pages.
+    fn compact_with_veto(seed: u64, veto_at: u64) {
+        let (mut pm, mut live) = seeded_memory(seed);
+        assert_eq!(pm.largest_free_order(), Some(crate::types::MAX_ORDER), "setup: order-10 block");
+        let pinned = Pfn(PINNED_REGION * BASE_PAGES_PER_HUGE + BASE_PAGES_PER_HUGE / 2);
+        let mut calls = 0u64;
+        let mut moved = 0u64;
+        let stats = compact(&mut pm, u64::MAX, |src, dst, owner| {
+            calls += 1;
+            // A frame free when its region was claimed is kernel-held and
+            // never live; only owned pages may reach the callback.
+            let vpn = *live.get(&src).unwrap_or_else(|| panic!("{src} is not a live page"));
+            assert_eq!(owner, Some(OwnerTag { pid: 1, vpn }));
+            assert_ne!(src.block_base(HUGE_ORDER), pinned.block_base(HUGE_ORDER));
+            assert_ne!(src.block_base(HUGE_ORDER), dst.block_base(HUGE_ORDER));
+            assert!(!live.contains_key(&dst), "destination {dst} already live");
+            if calls == veto_at {
+                return false;
+            }
+            live.remove(&src);
+            live.insert(dst, vpn);
+            moved += 1;
+            true
+        });
+        pm.check_invariants();
+        assert_eq!(stats.scanned_regions, REGIONS, "the pinned region is still scanned");
+        assert_eq!(stats.migrated_pages, moved);
+        assert!(stats.huge_blocks_freed > 0, "{stats:?}");
+        // Every claimed frame went back: only live pages and the pin stay
+        // allocated.
+        assert_eq!(pm.allocated_pages(), live.len() as u64 + 1);
+        assert!(!pm.frame(pinned).is_free());
+        for (&pfn, &vpn) in &live {
+            let f = pm.frame(pfn);
+            assert!(!f.is_free(), "{pfn} freed under a live page");
+            assert_eq!(f.owner(), Some(OwnerTag { pid: 1, vpn }));
+            assert_eq!(f.content(), content_of(vpn));
+        }
+    }
+
+    #[test]
+    fn compaction_migrates_only_live_pages_around_claims_and_vetoes() {
+        for seed in 1..=3 {
+            for veto_at in [1, 7, 90, 400, u64::MAX] {
+                compact_with_veto(seed, veto_at);
+            }
+        }
+    }
+
+    #[test]
+    fn claim_splits_a_straddling_order10_block() {
+        let (mut pm, _) = seeded_memory(1);
+        let free_before = pm.free_pages();
+        // Region 1 is the upper half of the free order-10 block headed at
+        // pfn 0: claiming it hands region 0 back frame by frame.
+        let base = Pfn(BASE_PAGES_PER_HUGE);
+        let claimed = claim_free_in_region(&mut pm, base);
+        assert_eq!(claimed.offsets().count() as u64, BASE_PAGES_PER_HUGE);
+        assert_eq!(pm.free_pages(), free_before - BASE_PAGES_PER_HUGE);
+        for i in 0..BASE_PAGES_PER_HUGE {
+            assert!(pm.frame(Pfn(i)).is_free(), "outside half reinserted");
+            assert!(!pm.frame(Pfn(base.0 + i)).is_movable(), "claimed frames are kernel-held");
+        }
+        pm.check_invariants();
+        for i in claimed.offsets() {
+            pm.free(Pfn(base.0 + i), Order(0));
+        }
+        pm.check_invariants();
+        assert_eq!(pm.free_pages(), free_before);
+        assert_eq!(pm.largest_free_order(), Some(crate::types::MAX_ORDER), "merged back whole");
     }
 
     #[test]

@@ -67,6 +67,12 @@ cargo test --release -p hawkeye-kernel --test skip_efficiency -q
 echo "==> serial-vs-multicore differential gate (counter-based)"
 cargo test --release -p hawkeye-kernel --test multicore_diff -q
 
+# Benchmark self-test: the perfbench span decorators and touch-stream
+# capture must leave the simulation digest unchanged (perfbench is its
+# own workspace, so the workspace test step above does not reach it).
+echo "==> perfbench self-test (decorators are digest-transparent)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 # Docs-drift gate: the target and check counts stated in README.md and
 # EXPERIMENTS.md must agree with the registry (hawkeye-report --counts).
 echo "==> docs-drift gate (README/EXPERIMENTS counts vs registry)"
