@@ -5,7 +5,7 @@
 //! journal (the bench determinism rule extends through the reader).
 
 use hawkeye_analyze::{contention, parse_trace, report, residues};
-use hawkeye_bench::{run_one, run_scenarios_capturing, trace_json, PolicyKind, Scenario};
+use hawkeye_bench::{run_one, run_scenarios, trace_json, PolicyKind, Scenario};
 use hawkeye_kernel::Simulator;
 use hawkeye_metrics::Cycles;
 use hawkeye_trace::{Journal, TraceEvent, TraceRecord};
@@ -99,8 +99,8 @@ fn matrix() -> Vec<Scenario<u64>> {
 
 #[test]
 fn analyzer_report_is_byte_identical_across_worker_counts() {
-    let (_, journals1, _) = run_scenarios_capturing(matrix(), 1);
-    let (_, journals8, _) = run_scenarios_capturing(matrix(), 8);
+    let journals1 = run_scenarios(matrix(), 1, true).journals;
+    let journals8 = run_scenarios(matrix(), 8, true).journals;
     let text1 = trace_json("pipeline", &journals1).to_string();
     let text8 = trace_json("pipeline", &journals8).to_string();
     assert_eq!(text1, text8, "journal document must not depend on worker count");

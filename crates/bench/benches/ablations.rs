@@ -10,7 +10,8 @@
 //! tables and written as one `ablations.json` with a `sections` array.
 
 use hawkeye_bench::{
-    dirty_free_memory, run_scenarios, secs, write_json, Json, PolicyKind, Report, Row, Scenario,
+    dirty_free_memory, pool, run_scenarios, secs, Json, PolicyKind, Report, Row, Scenario,
+    TargetRun,
 };
 use hawkeye_core::{BloatRecovery, HawkEye, HawkEyeConfig};
 use hawkeye_kernel::{workload::script, KernelConfig, Machine, MemOp, Simulator};
@@ -181,7 +182,9 @@ fn main() {
         ),
     ];
     // Flatten everything into one fan-out so all 12 simulations share the
-    // pool, then split the ordered results back into their sections.
+    // pool, then split the ordered results back into their sections. The
+    // run's journals and registries stay with one `ablations` report,
+    // whose summary is the assembled `sections` document.
     let mut titles_cols = Vec::new();
     let mut counts = Vec::new();
     let mut all: Vec<Scenario<Row>> = Vec::new();
@@ -190,23 +193,28 @@ fn main() {
         counts.push(scen.len());
         all.extend(scen);
     }
-    let mut results = run_scenarios(all).into_iter();
-
+    let target_title = "DESIGN.md §6 ablations";
     let mut section_jsons = Vec::new();
-    for ((title, cols), count) in titles_cols.into_iter().zip(counts) {
-        let rows: Vec<Row> = results.by_ref().take(count).collect();
-        let mut report = Report::new("ablations", title, cols);
-        let row_jsons: Vec<Json> = rows.iter().map(|r| r.json.clone()).collect();
-        report.extend(rows);
-        print!("{}", report.text());
-        section_jsons
-            .push(Json::obj(vec![("section", Json::str(title)), ("rows", Json::Arr(row_jsons))]));
-    }
-    write_json(
-        "ablations",
+    let run = TargetRun::measure(|| {
+        let mut artifacts = Report::new("ablations", target_title, vec![]);
+        let batch = run_scenarios(all, pool::worker_threads(), hawkeye_trace::env_enabled());
+        let mut results = artifacts.absorb(batch).into_iter();
+        for ((title, cols), count) in titles_cols.into_iter().zip(counts) {
+            let rows: Vec<Row> = results.by_ref().take(count).collect();
+            let mut report = Report::new("ablations", title, cols);
+            let row_jsons: Vec<Json> = rows.iter().map(|r| r.json.clone()).collect();
+            report.extend(rows);
+            print!("{}", report.text());
+            section_jsons
+                .push(Json::obj(vec![("section", Json::str(title)), ("rows", Json::Arr(row_jsons))]));
+        }
+        artifacts
+    });
+    run.write_in(
+        &hawkeye_bench::json::results_dir(),
         &Json::obj(vec![
             ("target", Json::str("ablations")),
-            ("title", Json::str("DESIGN.md §6 ablations")),
+            ("title", Json::str(target_title)),
             ("sections", Json::Arr(section_jsons)),
         ]),
     );

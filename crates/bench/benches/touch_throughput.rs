@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use hawkeye_bench::{run_one, run_scenarios, Json, PolicyKind, Report, Row, Scenario};
+use hawkeye_bench::{pool, run_one, run_scenarios, Json, PolicyKind, Report, Row, Scenario, TargetRun};
 use hawkeye_kernel::{MemOp, Workload};
 use hawkeye_vm::{Vpn, VmaKind};
 use hawkeye_workloads::{DirtModel, PatternScan};
@@ -120,11 +120,16 @@ fn main() {
             })
         })
         .collect();
-    let mut report = Report::new(
-        "touch_throughput",
-        "Touch throughput (simulator hot path; wall-clock on stderr)",
-        vec!["Shape", "Touches"],
-    );
-    report.extend(run_scenarios(scenarios));
-    report.finish();
+    TargetRun::measure(|| {
+        let mut report = Report::new(
+            "touch_throughput",
+            "Touch throughput (simulator hot path; wall-clock on stderr)",
+            vec!["Shape", "Touches"],
+        );
+        let batch = run_scenarios(scenarios, pool::worker_threads(), hawkeye_trace::env_enabled());
+        let rows = report.absorb(batch);
+        report.extend(rows);
+        report
+    })
+    .finish();
 }

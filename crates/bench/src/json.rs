@@ -178,15 +178,8 @@ pub fn results_dir() -> PathBuf {
     target.join("bench-results")
 }
 
-/// Writes `<results_dir>/<target>.json` and returns the path. Errors are
-/// returned, not panicked: a read-only checkout still gets its tables.
-pub fn write_results(target: &str, json: &Json) -> std::io::Result<PathBuf> {
-    write_results_in(&results_dir(), target, json)
-}
-
-/// Writes `<dir>/<stem>.json` and returns the path. The explicit-dir
-/// variant of [`write_results`], used by `hawkeye-report` (and its
-/// tests) to keep pipeline runs hermetic.
+/// Writes `<dir>/<stem>.json` and returns the path. Errors are returned,
+/// not panicked: a read-only checkout still gets its tables.
 pub fn write_results_in(dir: &std::path::Path, stem: &str, json: &Json) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{stem}.json"));

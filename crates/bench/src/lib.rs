@@ -12,8 +12,10 @@
 //! out across cores via the in-tree worker pool ([`pool`]) and reassemble
 //! in submission order, so output is byte-identical at any
 //! `HAWKEYE_BENCH_THREADS` setting while the suite's wall-clock scales
-//! with core count. [`Report`] prints the text table and writes the JSON
-//! summary (`target/bench-results/<target>.json`) every target now emits.
+//! with core count. Each target's [`Report`] owns everything its run
+//! produced, and [`TargetRun`] writes it as the JSON summary
+//! (`target/bench-results/<target>.json`) plus journal, telemetry and
+//! wall-clock files — no artifact travels through process-global state.
 
 #![warn(missing_docs)]
 
@@ -25,9 +27,7 @@ pub mod wallclock;
 
 pub use json::Json;
 pub use scenario::{
-    cycles_json, queue_obs_doc, queue_trace_journals, run_scenarios, run_scenarios_capturing,
-    run_scenarios_with, take_metric_snapshots, take_queued_obs_docs, take_queued_trace_journals,
-    trace_json, write_json, write_json_in, Report, Row, Scenario,
+    cycles_json, run_scenarios, trace_json, Batch, Report, Row, RunCfg, Scenario, TargetRun,
 };
 
 use hawkeye_core::{HawkEye, HawkEyeConfig};

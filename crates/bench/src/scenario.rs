@@ -5,40 +5,36 @@
 //! A scenario is a name plus a `Send` closure that builds and runs one
 //! simulation (or any other self-contained computation) and returns its
 //! result — usually a [`Row`]. [`run_scenarios`] executes the whole list
-//! on the in-tree worker pool ([`crate::pool`]) and returns results in
-//! submission order, so table output is byte-identical at any worker
-//! count. [`Report`] is the shared formatting tail: it prints the text
-//! table every target used to hand-roll and writes the machine-readable
-//! JSON summary to `target/bench-results/<target>.json`.
+//! on the in-tree worker pool ([`crate::pool`]) and returns a [`Batch`]:
+//! the results in submission order, so table output is byte-identical at
+//! any worker count, plus the journals and registries recorded alongside
+//! them. [`Report`] is the shared formatting tail: it prints the text
+//! table every target used to hand-roll and owns the target's artifacts.
+//! [`TargetRun`] wraps a built report with its host timing and scheduler
+//! quanta, and [`TargetRun::write_in`] writes all of it to disk — the
+//! JSON summary, trace journal, telemetry document and wall-clock
+//! sidecar are pure functions of that one value.
 
 use crate::json::{self, Json};
 use crate::pool::{self, Job};
 use crate::RunOutcome;
-use hawkeye_kernel::Simulator;
+use hawkeye_kernel::{sched_stats, Simulator};
 use hawkeye_metrics::{registry, Registry, Subsystem};
 use hawkeye_trace::{scope, Journal};
-use std::sync::Mutex;
+use std::path::Path;
 use std::time::Instant;
 
-/// Per-scenario journals collected by [`run_scenarios_with`] when
-/// `HAWKEYE_TRACE` is set (and by [`queue_trace_journals`] for targets
-/// that collect journals themselves, like `fleet_slo`), drained by
-/// [`write_json`] into `target/bench-results/<target>.trace.json`.
-/// Appended on the main thread in submission order, so trace output is
-/// deterministic at any worker count (same rule as table rows).
-static TRACE_JOURNALS: Mutex<Vec<(String, Journal)>> = Mutex::new(Vec::new());
-
-/// Per-scenario cycle-attribution registries, collected unconditionally
-/// (the registry's disabled-path guarantee means it cannot perturb the
-/// simulation) and drained by [`write_json`] into the summary's `cycles`
-/// section. Same submission-order rule as [`TRACE_JOURNALS`].
-static METRIC_SNAPSHOTS: Mutex<Vec<(String, Registry)>> = Mutex::new(Vec::new());
-
-/// Serialized telemetry documents queued by obs-enabled targets
-/// (`fleet_slo` evaluates its SLO rules and queues the result here),
-/// drained by [`write_json`] into `<dir>/<target>.obs.json`. At most one
-/// document is expected per target; the last queued wins.
-static OBS_DOCS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+/// How a bench target runs: its pool worker count and whether its
+/// scenarios record event journals. Binaries read both from the
+/// environment (`HAWKEYE_BENCH_THREADS`, `HAWKEYE_TRACE`); the report
+/// pipeline and tests pass them explicitly.
+#[derive(Debug, Clone, Copy)]
+pub struct RunCfg {
+    /// Pool workers for the scenario engine.
+    pub threads: usize,
+    /// Record one event journal per scenario for `<target>.trace.json`.
+    pub trace: bool,
+}
 
 /// One independent unit of a bench target: a named closure producing a
 /// result on a worker thread.
@@ -49,11 +45,11 @@ static OBS_DOCS: Mutex<Vec<String>> = Mutex::new(Vec::new());
 /// which is the whole byte-determinism story:
 ///
 /// ```
-/// use hawkeye_bench::{run_scenarios_with, Scenario};
+/// use hawkeye_bench::{run_scenarios, Scenario};
 ///
 /// let scenarios: Vec<Scenario<u64>> =
 ///     (0..4u64).map(|i| Scenario::new(format!("square {i}"), move || i * i)).collect();
-/// assert_eq!(run_scenarios_with(scenarios, 2), vec![0, 1, 4, 9]);
+/// assert_eq!(run_scenarios(scenarios, 2, false).results, vec![0, 1, 4, 9]);
 /// ```
 pub struct Scenario<T> {
     name: String,
@@ -97,110 +93,28 @@ impl<T: Send> Scenario<T> {
     }
 }
 
-/// Runs scenarios on [`pool::worker_threads`] workers; results come back
-/// in submission order.
-pub fn run_scenarios<T: Send + 'static>(scenarios: Vec<Scenario<T>>) -> Vec<T> {
-    run_scenarios_with(scenarios, pool::worker_threads())
+/// One engine run's owned output, everything in submission order.
+pub struct Batch<T> {
+    /// The scenarios' results.
+    pub results: Vec<T>,
+    /// `(scenario name, journal)` per scenario; empty unless traced.
+    pub journals: Vec<(String, Journal)>,
+    /// `(scenario name, cycle-attribution registry)` per scenario.
+    pub registries: Vec<(String, Registry)>,
 }
 
-/// Runs scenarios on an explicit worker count (the determinism test pins
-/// 1 and 8 without touching the process environment). Wall-clock goes to
-/// stderr so stdout stays byte-identical across worker counts.
+/// Runs scenarios on `threads` workers and returns their [`Batch`].
+/// Wall-clock goes to stderr so stdout stays byte-identical across worker
+/// counts.
 ///
-/// When `HAWKEYE_TRACE` is set, each scenario additionally records an
-/// event journal, queued for [`write_json`] to dump alongside the summary.
-pub fn run_scenarios_with<T: Send + 'static>(
+/// Every scenario records a cycle-attribution registry (the registry's
+/// disabled-path guarantee means it cannot perturb the simulation); with
+/// `trace` on, each also records an event journal.
+pub fn run_scenarios<T: Send + 'static>(
     scenarios: Vec<Scenario<T>>,
     threads: usize,
-) -> Vec<T> {
-    let (results, journals, registries) =
-        run_scenarios_inner(scenarios, threads, hawkeye_trace::env_enabled());
-    if !journals.is_empty() {
-        if let Ok(mut q) = TRACE_JOURNALS.lock() {
-            q.extend(journals);
-        }
-    }
-    if !registries.is_empty() {
-        if let Ok(mut q) = METRIC_SNAPSHOTS.lock() {
-            q.extend(registries);
-        }
-    }
-    results
-}
-
-/// Results plus the per-scenario artifacts captured alongside them: the
-/// event journals (named, in submission order, when tracing) and the
-/// cycle-attribution registries.
-pub type Captured<T> = (Vec<T>, Vec<(String, Journal)>, Vec<(String, Registry)>);
-
-/// Runs scenarios with tracing forced on (regardless of `HAWKEYE_TRACE`)
-/// and returns the per-scenario journals and cycle-attribution registries
-/// directly instead of queueing them for the JSON dump. Used by tests that
-/// assert on trace or registry contents.
-pub fn run_scenarios_capturing<T: Send + 'static>(
-    scenarios: Vec<Scenario<T>>,
-    threads: usize,
-) -> Captured<T> {
-    run_scenarios_inner(scenarios, threads, true)
-}
-
-/// Queues named journals for the next [`write_json`] to dump into the
-/// target's `.trace.json` — the path the fleet orchestrator uses: its
-/// hosts trace into their own detached buffers (not the engine's
-/// thread-local scope), so the `fleet_slo` target hands the sampled host
-/// journals over explicitly. Order is preserved; callers pass journals
-/// in a deterministic order to keep the artifact byte-stable.
-pub fn queue_trace_journals(journals: Vec<(String, Journal)>) {
-    if journals.is_empty() {
-        return;
-    }
-    if let Ok(mut q) = TRACE_JOURNALS.lock() {
-        q.extend(journals);
-    }
-}
-
-/// Queues a serialized telemetry document (the `<target>.obs.json`
-/// contents) for the next [`write_json`] to dump. Obs-enabled targets
-/// call this after evaluating their SLO rules.
-pub fn queue_obs_doc(doc: String) {
-    if let Ok(mut q) = OBS_DOCS.lock() {
-        q.push(doc);
-    }
-}
-
-/// Drains the telemetry documents queued by [`queue_obs_doc`] since the
-/// last drain ([`write_json`] calls this; tests may too).
-pub fn take_queued_obs_docs() -> Vec<String> {
-    match OBS_DOCS.lock() {
-        Ok(mut q) => std::mem::take(&mut *q),
-        Err(_) => Vec::new(),
-    }
-}
-
-/// Drains the cycle-attribution registries queued by [`run_scenarios_with`]
-/// since the last drain ([`write_json`] calls this; tests may too).
-pub fn take_metric_snapshots() -> Vec<(String, Registry)> {
-    match METRIC_SNAPSHOTS.lock() {
-        Ok(mut q) => std::mem::take(&mut *q),
-        Err(_) => Vec::new(),
-    }
-}
-
-/// Drains the journals queued by traced runs or
-/// [`queue_trace_journals`] since the last drain ([`write_json`] calls
-/// this; tests may too).
-pub fn take_queued_trace_journals() -> Vec<(String, Journal)> {
-    match TRACE_JOURNALS.lock() {
-        Ok(mut q) => std::mem::take(&mut *q),
-        Err(_) => Vec::new(),
-    }
-}
-
-fn run_scenarios_inner<T: Send + 'static>(
-    scenarios: Vec<Scenario<T>>,
-    threads: usize,
-    tracing: bool,
-) -> Captured<T> {
+    trace: bool,
+) -> Batch<T> {
     let n = scenarios.len();
     let t0 = Instant::now();
     // Each job runs start-to-finish on one worker thread, so thread-local
@@ -218,11 +132,11 @@ fn run_scenarios_inner<T: Send + 'static>(
             let job = s.job;
             Box::new(move || {
                 registry::scope::begin();
-                if tracing {
+                if trace {
                     scope::begin(hawkeye_trace::DEFAULT_CAPACITY);
                 }
                 let result = job();
-                let journal = if tracing { scope::end() } else { None };
+                let journal = if trace { scope::end() } else { None };
                 let mut reg = registry::scope::end();
                 // Ring-buffer overflow must not stay silent: surface the
                 // drop count as a registry counter (machine 0 = the
@@ -237,25 +151,26 @@ fn run_scenarios_inner<T: Send + 'static>(
             }) as Job<Instrumented<T>>
         })
         .collect();
-    let mut results = Vec::with_capacity(n);
-    let mut journals = Vec::new();
-    let mut registries = Vec::new();
+    let mut batch = Batch {
+        results: Vec::with_capacity(n),
+        journals: Vec::new(),
+        registries: Vec::new(),
+    };
     for (name, (result, journal, reg)) in names.into_iter().zip(pool::run_ordered(jobs, threads)) {
-        results.push(result);
+        batch.results.push(result);
         if let Some(j) = journal {
-            journals.push((name.clone(), j));
+            batch.journals.push((name.clone(), j));
         }
         if let Some(r) = reg {
-            registries.push((name, r));
+            batch.registries.push((name, r));
         }
     }
-    let elapsed = t0.elapsed().as_secs_f64();
-    crate::wallclock::record("engine", elapsed);
     eprintln!(
-        "[scenario-engine] {n} scenario(s) on {} worker(s) in {elapsed:.2}s",
+        "[scenario-engine] {n} scenario(s) on {} worker(s) in {:.2}s",
         threads.min(n.max(1)),
+        t0.elapsed().as_secs_f64(),
     );
-    (results, journals, registries)
+    batch
 }
 
 /// Serializes the `.trace.json` document for one target straight into a
@@ -470,14 +385,22 @@ impl Row {
 }
 
 /// The shared formatting tail of a bench target: collects [`Row`]s,
-/// prints free-text blocks + the aligned table + footnotes, and writes
-/// the JSON summary.
+/// renders free-text blocks + the aligned table + footnotes and the JSON
+/// summary, and owns every other artifact the target's run produced.
 pub struct Report {
     target: &'static str,
     title: String,
     columns: Vec<&'static str>,
     rows: Vec<Row>,
     footers: Vec<String>,
+    /// `(scenario name, journal)` for `<target>.trace.json`, in a
+    /// deterministic order; empty when nothing was traced.
+    pub journals: Vec<(String, Journal)>,
+    /// `(scenario name, registry)` for the summary's `cycles` section.
+    pub registries: Vec<(String, Registry)>,
+    /// The serialized `<target>.obs.json` telemetry document, when the
+    /// target ran with telemetry on.
+    pub obs_doc: Option<String>,
 }
 
 impl Report {
@@ -490,7 +413,18 @@ impl Report {
             columns,
             rows: Vec::new(),
             footers: Vec::new(),
+            journals: Vec::new(),
+            registries: Vec::new(),
+            obs_doc: None,
         }
+    }
+
+    /// Takes over a batch's journals and registries (appended after any
+    /// already held) and returns its results for the caller to format.
+    pub fn absorb<T>(&mut self, batch: Batch<T>) -> Vec<T> {
+        self.journals.extend(batch.journals);
+        self.registries.extend(batch.registries);
+        batch.results
     }
 
     /// Appends one row.
@@ -551,93 +485,102 @@ impl Report {
             ),
         ])
     }
+}
 
-    /// Prints the text to stdout and writes the JSON summary. The write
-    /// path (or failure) is reported on stderr only, keeping stdout
-    /// deterministic.
+/// One target run's owned result: the [`Report`] with all of its
+/// artifacts, the host seconds its build took, and the scheduler quanta
+/// its simulations ran.
+pub struct TargetRun {
+    /// The built report (not yet printed or persisted).
+    pub report: Report,
+    /// Host wall-clock seconds spent building the report.
+    pub engine_secs: f64,
+    /// Scheduler quanta elapsed across the run's simulations.
+    pub quanta_total: u64,
+    /// Quanta the event-skip scheduler charged in closed form.
+    pub quanta_skipped: u64,
+}
+
+impl TargetRun {
+    /// Runs `build` on this thread, timing it and counting the scheduler
+    /// quanta of every simulation it runs or submits to the pool
+    /// ([`sched_stats`] is thread-scoped, so concurrent runs never mix).
+    pub fn measure(build: impl FnOnce() -> Report) -> TargetRun {
+        let (t0, s0) = sched_stats::snapshot();
+        let start = Instant::now();
+        let report = build();
+        let engine_secs = start.elapsed().as_secs_f64();
+        let (t1, s1) = sched_stats::snapshot();
+        TargetRun {
+            report,
+            engine_secs,
+            quanta_total: t1 - t0,
+            quanta_skipped: s1 - s0,
+        }
+    }
+
+    /// Writes the run's artifacts under `dir`: `<target>.json` (`summary`
+    /// plus a `cycles` section from the report's registries),
+    /// `<target>.trace.json` when it holds journals, `<target>.obs.json`
+    /// when it holds a telemetry document, and last the
+    /// `<target>.wallclock.json` sidecar. Returns the host phases the
+    /// sidecar records: `engine`, `summary_write`, and `trace_write` when
+    /// a journal was written. Outcomes are reported on stderr only.
+    ///
+    /// `summary` is normally [`Report::json`]; multi-section targets
+    /// (ablations) assemble their own.
+    pub fn write_in(&self, dir: &Path, summary: &Json) -> Vec<(&'static str, f64)> {
+        let r = &self.report;
+        let mut phases = vec![("engine", self.engine_secs)];
+        let t0 = Instant::now();
+        let mut summary = summary.clone();
+        if !r.registries.is_empty() {
+            summary.push("cycles", cycles_json(&r.registries));
+        }
+        match json::write_results_in(dir, r.target, &summary) {
+            Ok(path) => eprintln!("[scenario-engine] wrote {}", path.display()),
+            Err(e) => eprintln!("[scenario-engine] could not write {}.json: {e}", r.target),
+        }
+        phases.push(("summary_write", t0.elapsed().as_secs_f64()));
+        if !r.journals.is_empty() {
+            let t0 = Instant::now();
+            write_doc(
+                dir,
+                &format!("{}.trace", r.target),
+                trace_doc_string(r.target, &r.journals),
+            );
+            phases.push(("trace_write", t0.elapsed().as_secs_f64()));
+        }
+        if let Some(doc) = &r.obs_doc {
+            write_doc(dir, &format!("{}.obs", r.target), doc.clone());
+        }
+        crate::wallclock::write_in(
+            dir,
+            r.target,
+            &phases,
+            self.quanta_total,
+            self.quanta_skipped,
+        );
+        phases
+    }
+
+    /// Prints the report text to stdout and writes every artifact under
+    /// [`json::results_dir`] — a standalone bench binary's whole tail.
     pub fn finish(self) {
-        print!("{}", self.text());
-        write_json(self.target, &self.json());
+        print!("{}", self.report.text());
+        self.write_in(&json::results_dir(), &self.report.json());
     }
 }
 
-/// Writes one JSON summary file, reporting the outcome on stderr.
-/// Multi-section targets (ablations) assemble their own [`Json`] and call
-/// this once.
-pub fn write_json(target: &str, json: &Json) {
-    write_json_in(&json::results_dir(), target, json);
-}
-
-/// The explicit-dir variant of [`write_json`]: drains the metric and
-/// trace queues into `<dir>/<target>.json` / `<dir>/<target>.trace.json`.
-/// `hawkeye-report` uses this to collect the whole suite's artifacts in
-/// one place without mutating process environment.
-pub fn write_json_in(dir: &std::path::Path, target: &str, json: &Json) {
-    let t0 = Instant::now();
-    let snapshots = take_metric_snapshots();
-    let json = if snapshots.is_empty() {
-        json.clone()
-    } else {
-        let mut j = json.clone();
-        j.push("cycles", cycles_json(&snapshots));
-        j
-    };
-    match json::write_results_in(dir, target, &json) {
-        Ok(path) => eprintln!("[scenario-engine] wrote {}", path.display()),
-        Err(e) => eprintln!("[scenario-engine] could not write {target}.json: {e}"),
-    }
-    crate::wallclock::record("summary_write", t0.elapsed().as_secs_f64());
-    write_trace_results(dir, target);
-    write_obs_results(dir, target);
-    // Dump the host-side timing sidecar last: it collects the phases the
-    // lines above just recorded (plus the engine phase) without ever
-    // touching the deterministic artifacts.
-    crate::wallclock::write_in(dir, target);
-}
-
-/// Dumps the journals queued by traced runs (if any) to
-/// `<dir>/<target>.trace.json`. A no-op when tracing was off; stdout is
-/// untouched either way.
-fn write_trace_results(dir: &std::path::Path, target: &str) {
-    let journals = take_queued_trace_journals();
-    if journals.is_empty() {
-        return;
-    }
-    let t0 = Instant::now();
-    let stem = format!("{target}.trace");
-    let mut doc = trace_doc_string(target, &journals);
-    doc.push('\n');
-    let write = || -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{stem}.json"));
-        std::fs::write(&path, doc)?;
-        Ok(path)
-    };
-    match write() {
-        Ok(path) => eprintln!("[scenario-engine] wrote {}", path.display()),
-        Err(e) => eprintln!("[scenario-engine] could not write {stem}.json: {e}"),
-    }
-    crate::wallclock::record("trace_write", t0.elapsed().as_secs_f64());
-}
-
-/// Dumps the telemetry document queued by [`queue_obs_doc`] (if any) to
-/// `<dir>/<target>.obs.json`. A no-op when telemetry was off.
-fn write_obs_results(dir: &std::path::Path, target: &str) {
-    let Some(mut doc) = take_queued_obs_docs().pop() else {
-        return;
-    };
+/// Writes `<dir>/<stem>.json` with a trailing newline, reporting the
+/// outcome on stderr.
+fn write_doc(dir: &Path, stem: &str, mut doc: String) {
     if !doc.ends_with('\n') {
         doc.push('\n');
     }
-    let stem = format!("{target}.obs");
-    let write = || -> std::io::Result<std::path::PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{stem}.json"));
-        std::fs::write(&path, doc)?;
-        Ok(path)
-    };
-    match write() {
-        Ok(path) => eprintln!("[scenario-engine] wrote {}", path.display()),
+    let path = dir.join(format!("{stem}.json"));
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, doc)) {
+        Ok(()) => eprintln!("[scenario-engine] wrote {}", path.display()),
         Err(e) => eprintln!("[scenario-engine] could not write {stem}.json: {e}"),
     }
 }
@@ -793,10 +736,48 @@ mod tests {
                 })
                 .collect()
         };
-        let serial = run_scenarios_with(build(), 1);
-        let parallel = run_scenarios_with(build(), 4);
+        let serial = run_scenarios(build(), 1, false).results;
+        let parallel = run_scenarios(build(), 4, false).results;
         assert_eq!(serial, parallel);
         assert_eq!(serial, vec![128, 256, 384, 512, 640, 768]);
+    }
+
+    #[test]
+    fn target_run_writes_every_owned_artifact() {
+        let dir = std::env::temp_dir().join(format!("hawkeye-bench-write-{}", std::process::id()));
+        let run = TargetRun::measure(|| {
+            let mut report = Report::new("demo", "Demo", vec!["faults"]);
+            let spin = Scenario::sim(
+                "spin",
+                || {
+                    let mut sim =
+                        Simulator::new(PolicyKind::Linux4k.config(64), PolicyKind::Linux4k.build());
+                    let pid = sim.spawn(Box::new(Spinup::new("s", 512)));
+                    (sim, pid)
+                },
+                |out| Row::new(vec![out.faults().to_string()]),
+            );
+            let rows = report.absorb(run_scenarios(vec![spin], 1, true));
+            report.extend(rows);
+            report.obs_doc = Some(r#"{"target":"demo"}"#.to_string());
+            report
+        });
+        assert!(run.quanta_total > 0, "the simulation ran quanta");
+        let phases = run.write_in(&dir, &run.report.json());
+        let names: Vec<&str> = phases.iter().map(|(p, _)| *p).collect();
+        assert_eq!(names, ["engine", "summary_write", "trace_write"]);
+        let read = |file: &str| std::fs::read_to_string(dir.join(file)).expect("artifact written");
+        let summary = read("demo.json");
+        assert!(summary.starts_with(
+            r#"{"target":"demo","title":"Demo","rows":[{}],"cycles":[{"scenario":"spin""#
+        ));
+        assert!(
+            read("demo.trace.json").starts_with(r#"{"target":"demo","scenarios":[{"name":"spin""#)
+        );
+        assert_eq!(read("demo.obs.json"), "{\"target\":\"demo\"}\n");
+        let quanta = format!("\"quanta_total\":{}", run.quanta_total);
+        assert!(read("demo.wallclock.json").contains(&quanta));
+        std::fs::remove_dir_all(&dir).expect("clean up");
     }
 
     #[test]

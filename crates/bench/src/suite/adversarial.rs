@@ -20,7 +20,7 @@
 //! first intensity where that happens is the policy's failure knee,
 //! tabulated in the generated ENVELOPES.md (DESIGN.md §17).
 
-use crate::{pct, run_scenarios_with, secs, Json, PolicyKind, Report, Row, Scenario};
+use crate::{pct, run_scenarios, secs, Json, PolicyKind, Report, Row, RunCfg, Scenario};
 use hawkeye_kernel::{Simulator, Workload};
 use hawkeye_metrics::Cycles;
 use hawkeye_workloads::{BloatAttacker, BtreeOltp, FragAttacker};
@@ -108,14 +108,14 @@ fn run_cell(attack: &'static str, kind: PolicyKind, intensity: f64, victim_txns:
 
 /// Builds the `adversarial` report: the full attack × intensity × policy
 /// sweep, with per-cell ratios against Linux-2MB under the same attack.
-pub fn report(threads: usize) -> Report {
-    report_with(VICTIM_TXNS, &INTENSITIES, threads)
+pub fn report(run: RunCfg) -> Report {
+    report_with(VICTIM_TXNS, &INTENSITIES, run)
 }
 
 /// [`report`] with an explicit victim length and intensity sweep — the
 /// byte-determinism test runs a short victim over two intensities so
 /// the sweep stays affordable under the dev profile.
-pub fn report_with(victim_txns: u64, intensities: &[f64], threads: usize) -> Report {
+pub fn report_with(victim_txns: u64, intensities: &[f64], run: RunCfg) -> Report {
     let scenarios: Vec<Scenario<Cell>> = ATTACKS
         .iter()
         .flat_map(|attack| {
@@ -130,7 +130,7 @@ pub fn report_with(victim_txns: u64, intensities: &[f64], threads: usize) -> Rep
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
+    let batch = run_scenarios(scenarios, run.threads, run.trace);
 
     let mut report = Report::new(
         "adversarial",
@@ -147,6 +147,7 @@ pub fn report_with(victim_txns: u64, intensities: &[f64], threads: usize) -> Rep
             "atk OOM",
         ],
     );
+    let results = report.absorb(batch);
     for (ai, attack) in ATTACKS.iter().enumerate() {
         for (ii, intensity) in intensities.iter().enumerate() {
             let base = ai * intensities.len() * KINDS.len() + ii * KINDS.len();

@@ -6,11 +6,11 @@
 //! caching stores but only 6 % with non-temporal hints; the production
 //! daemon is rate-limited ~25× lower, shrinking both numbers further.
 
-use crate::{run_scenarios_with, Json, Report, Row, Scenario};
+use crate::{run_scenarios, Json, Report, Row, RunCfg, Scenario};
 use hawkeye_tlb::{InterferenceModel, StoreMode};
 
 /// Builds the `fig10` report: worst-case interference of the async pre-zeroing thread.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: RunCfg) -> Report {
     // (workload, LLC sensitivity, bandwidth sensitivity) — profiles chosen
     // to match the paper's measured slowdowns at 1 GB/s.
     let profiles: Vec<(&'static str, f64, f64)> = vec![
@@ -58,7 +58,8 @@ pub fn report(threads: usize) -> Report {
             "non-temporal @10k pages/s",
         ],
     );
-    report.extend(run_scenarios_with(scenarios, threads));
+    let rows = report.absorb(run_scenarios(scenarios, run.threads, run.trace));
+    report.extend(rows);
     report.footer(
         "(paper, Fig. 10: omnetpp 27% with caching stores vs 6% non-temporal;\n rate-limited production daemon: proportionally smaller)",
     );

@@ -6,7 +6,7 @@
 //! async pre-zeroing plus host same-page merging matching ballooning's
 //! throughput (2.3× for Redis) without any paravirtual interface.
 
-use crate::{run_scenarios_with, Json, PolicyKind, Report, Row, Scenario};
+use crate::{run_scenarios, Json, PolicyKind, Report, Row, RunCfg, Scenario};
 use hawkeye_core::{HawkEye, HawkEyeConfig};
 use hawkeye_kernel::{HugePagePolicy, Workload};
 use hawkeye_policies::LinuxThp;
@@ -90,7 +90,7 @@ fn run(c: Config) -> (Vec<f64>, u64, u64) {
 }
 
 /// Builds the `fig11` report: overcommitted VMs under pre-zeroing + host KSM.
-pub fn report(threads: usize) -> Report {
+pub fn report(cfg: RunCfg) -> Report {
     let configs = [
         Config {
             label: "no balloon, Linux guests",
@@ -123,8 +123,7 @@ pub fn report(threads: usize) -> Report {
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
-    let base = &results[0];
+    let batch = run_scenarios(scenarios, cfg.threads, cfg.trace);
 
     let mut report = Report::new(
         "fig11_overcommit",
@@ -139,6 +138,8 @@ pub fn report(threads: usize) -> Report {
             "pages recovered",
         ],
     );
+    let results = report.absorb(batch);
+    let base = &results[0];
     for (c, (times, swaps, recovered)) in configs.iter().zip(&results) {
         let mut row = vec![c.label.to_string()];
         let mut speedups = Vec::new();

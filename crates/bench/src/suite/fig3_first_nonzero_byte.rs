@@ -5,11 +5,11 @@
 //! Here we sample each workload family's content model and print the
 //! empirical means alongside the paper's suite averages.
 
-use crate::{run_scenarios_with, Json, Report, Row, Scenario};
+use crate::{run_scenarios, Json, Report, Row, RunCfg, Scenario};
 use hawkeye_workloads::DirtModel;
 
 /// Builds the `fig3` report: average distance to the first non-zero byte in 4 KB pages.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: RunCfg) -> Report {
     // (family, configured mean, paper context)
     let families: Vec<(&'static str, f64)> = vec![
         ("spec-cpu2006", 11.0),
@@ -43,15 +43,14 @@ pub fn report(threads: usize) -> Report {
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
-    let grand: f64 = results.iter().map(|(_, emp)| emp).sum();
-    let avg = grand / count as f64;
-
     let mut report = Report::new(
         "fig3_first_nonzero_byte",
         "Fig. 3: distance to first non-zero byte per 4 KB in-use page",
         vec!["Workload family", "Mean first-non-zero byte (sampled)"],
     );
+    let results = report.absorb(run_scenarios(scenarios, run.threads, run.trace));
+    let grand: f64 = results.iter().map(|(_, emp)| emp).sum();
+    let avg = grand / count as f64;
     report.extend(results.into_iter().map(|(row, _)| row));
     report.add(
         Row::new(vec!["AVERAGE".into(), format!("{avg:.2} B")]).with_json(Json::obj(vec![

@@ -8,7 +8,9 @@
 //! HawkEye eliminating XSBench's overheads in ~300 s while Linux/Ingens
 //! are still above them after 1000 s.
 
-use crate::{format_series, run_one, run_scenarios_with, Json, PolicyKind, Report, Row, Scenario};
+use crate::{
+    format_series, run_one, run_scenarios, Json, PolicyKind, Report, Row, RunCfg, Scenario,
+};
 use hawkeye_kernel::Workload;
 use hawkeye_workloads::HotspotWorkload;
 
@@ -20,7 +22,7 @@ fn workload(name: &str) -> Box<dyn Workload> {
 }
 
 /// Builds the `fig6` report: MMU overhead and huge-page count over time.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: RunCfg) -> Report {
     let mut scenarios: Vec<Scenario<Row>> = Vec::new();
     for name in ["graph500", "xsbench"] {
         for (ki, kind) in [
@@ -81,7 +83,8 @@ pub fn report(threads: usize) -> Report {
         "Fig. 6: promotion timelines in a fragmented system",
         vec![], // series blocks only, no table
     );
-    report.extend(run_scenarios_with(scenarios, threads));
+    let rows = report.absorb(run_scenarios(scenarios, run.threads, run.trace));
+    report.extend(rows);
     report.footer(
         "(paper, Fig. 6: HawkEye promotes the hot high-VA regions first and\n\
          eliminates MMU overheads several times faster than Linux/Ingens)",

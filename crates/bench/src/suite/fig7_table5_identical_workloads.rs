@@ -7,7 +7,7 @@
 //! instances round-robin — the paper measures 1.13–1.15× average speedup
 //! for HawkEye vs ~1.0–1.06× for Linux/Ingens.
 
-use crate::{run_scenarios_with, secs, spd, Json, PolicyKind, Report, Row, Scenario};
+use crate::{run_scenarios, secs, spd, Json, PolicyKind, Report, Row, RunCfg, Scenario};
 use hawkeye_kernel::{Simulator, Workload};
 use hawkeye_metrics::Cycles;
 use hawkeye_workloads::HotspotWorkload;
@@ -49,7 +49,7 @@ const KINDS: [PolicyKind; 5] = [
 ];
 
 /// Builds the `fig7_table5` report: fairness across identical co-running instances.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: RunCfg) -> Report {
     // One scenario per (workload, policy); the 4KB cell doubles as the
     // speedup base for its workload (assembled after the ordered run).
     let scenarios: Vec<Scenario<(Vec<f64>, u64)>> = NAMES
@@ -63,7 +63,7 @@ pub fn report(threads: usize) -> Report {
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
+    let batch = run_scenarios(scenarios, run.threads, run.trace);
 
     let mut report = Report::new(
         "fig7_table5_identical_workloads",
@@ -79,6 +79,7 @@ pub fn report(threads: usize) -> Report {
             "promotions",
         ],
     );
+    let results = report.absorb(batch);
     for (wi, name) in NAMES.iter().enumerate() {
         let cells = &results[wi * KINDS.len()..(wi + 1) * KINDS.len()];
         let avg4k = cells[0].0.iter().sum::<f64>() / 3.0;

@@ -6,7 +6,7 @@
 //! actually map huge contribute. The paper measures 18–90 % speedups over
 //! all-Linux; the `both` configuration wins.
 
-use crate::{run_scenarios_with, secs, spd, Json, PolicyKind, Report, Row, Scenario};
+use crate::{run_scenarios, secs, spd, Json, PolicyKind, Report, Row, RunCfg, Scenario};
 use hawkeye_core::{HawkEye, HawkEyeConfig};
 use hawkeye_kernel::{HugePagePolicy, Workload};
 use hawkeye_policies::LinuxThp;
@@ -54,7 +54,7 @@ const CONFIGS: [(&str, bool, bool); 4] = [
 ];
 
 /// Builds the `fig9_table6` report: virtualized speedups, host and guest policies crossed.
-pub fn report(threads: usize) -> Report {
+pub fn report(cfg: RunCfg) -> Report {
     // One scenario per (workload, layer config): 8 independent two-level
     // systems. Speedups are assembled from the ordered results.
     let names = ["cg.D", "graph500"];
@@ -67,7 +67,7 @@ pub fn report(threads: usize) -> Report {
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
+    let batch = run_scenarios(scenarios, cfg.threads, cfg.trace);
 
     let mut report = Report::new(
         "fig9_virtualized",
@@ -80,6 +80,7 @@ pub fn report(threads: usize) -> Report {
             "HawkEye@both",
         ],
     );
+    let results = report.absorb(batch);
     for (wi, name) in names.iter().enumerate() {
         let cells = &results[wi * CONFIGS.len()..(wi + 1) * CONFIGS.len()];
         let (base, host, guest, both) = (cells[0], cells[1], cells[2], cells[3]);

@@ -10,7 +10,9 @@
 //! machine (a freshly-booted HPC node), which is where the paper's
 //! fault-time huge pages and HawkEye's promotion should converge.
 
-use crate::{pct, run_one, run_scenarios_with, secs, spd, Json, PolicyKind, Report, Row, Scenario};
+use crate::{
+    pct, run_one, run_scenarios, secs, spd, Json, PolicyKind, Report, Row, RunCfg, Scenario,
+};
 use hawkeye_workloads::StencilSweep;
 
 /// Finest-grid span (2 MB regions) and V-cycle count for the suite run.
@@ -26,13 +28,13 @@ const KINDS: [PolicyKind; 4] = [
 
 /// Builds the `hpc_stencil` report: one clean-machine run per policy,
 /// pairing the walk-cycle collapse with the (much smaller) speedup.
-pub fn report(threads: usize) -> Report {
-    report_with(REGIONS, CYCLES, threads)
+pub fn report(run: RunCfg) -> Report {
+    report_with(REGIONS, CYCLES, run)
 }
 
 /// [`report`] at an explicit scale — the byte-determinism test runs a
 /// smaller grid so the sweep stays affordable under the dev profile.
-pub fn report_with(regions: u64, cycles: u64, threads: usize) -> Report {
+pub fn report_with(regions: u64, cycles: u64, run: RunCfg) -> Report {
     let scenarios: Vec<Scenario<(f64, f64, u64, f64)>> = KINDS
         .iter()
         .map(|kind| {
@@ -54,7 +56,7 @@ pub fn report_with(regions: u64, cycles: u64, threads: usize) -> Report {
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
+    let batch = run_scenarios(scenarios, run.threads, run.trace);
 
     let mut report = Report::new(
         "hpc_stencil",
@@ -69,6 +71,7 @@ pub fn report_with(regions: u64, cycles: u64, threads: usize) -> Report {
             "avg fault (us)",
         ],
     );
+    let results = report.absorb(batch);
     let (t4k, mmu4k) = (results[0].0, results[0].1);
     for (ki, kind) in KINDS.iter().enumerate() {
         let (exec, mmu, faults, fault_us) = results[ki];

@@ -2,7 +2,7 @@
 //!
 //! Every bench target that reproduces a table or figure from the paper
 //! (the rows of DESIGN.md §4's experiment index) lives here as a module
-//! with a single `pub fn report(threads: usize) -> Report` entry point.
+//! with a single `pub fn report(run: RunCfg) -> Report` entry point.
 //! The `benches/*.rs` files are thin wrappers over [`run_main`], and
 //! `hawkeye-report` runs the same code in-process via [`TARGETS`] so the
 //! one-command reproduction pipeline and the individual binaries can
@@ -34,7 +34,7 @@ pub mod table7_bloat_recovery;
 pub mod table8_fast_faults;
 pub mod table9_pmu_vs_g;
 
-use crate::Report;
+use crate::{Report, RunCfg, TargetRun};
 
 /// One runnable paper experiment: a row of DESIGN.md §4's index.
 pub struct Target {
@@ -43,9 +43,19 @@ pub struct Target {
     pub name: &'static str,
     /// The paper artifact this target reproduces ("Table 1", "Fig 5", …).
     pub paper: &'static str,
-    /// Builds and runs the experiment on `threads` pool workers and
-    /// returns its [`Report`] (not yet printed or persisted).
-    pub build: fn(usize) -> Report,
+    /// Builds and runs the experiment under a [`RunCfg`] and returns its
+    /// [`Report`] (not yet printed or persisted).
+    pub build: fn(RunCfg) -> Report,
+}
+
+impl Target {
+    /// Runs the experiment as one owned [`TargetRun`]: the report with
+    /// its artifacts, the host seconds `build` took, and the scheduler
+    /// quanta it ran. The standalone binaries and `hawkeye-report` both
+    /// go through here.
+    pub fn run(&self, cfg: RunCfg) -> TargetRun {
+        TargetRun::measure(|| (self.build)(cfg))
+    }
 }
 
 /// All paper experiments, in DESIGN.md §4 order (tables, then figures).
@@ -168,9 +178,14 @@ pub fn find(name: &str) -> Option<&'static Target> {
 }
 
 /// Entry point for the thin `benches/*.rs` wrappers: runs `name` on the
-/// configured worker count ([`crate::pool::worker_threads`]) and prints
-/// and persists the report exactly as the pre-suite binaries did.
+/// configured worker count ([`crate::pool::worker_threads`]), tracing
+/// when `HAWKEYE_TRACE` asks for it, and prints and persists the report
+/// exactly as the pre-suite binaries did.
 pub fn run_main(name: &str) {
     let target = find(name).unwrap_or_else(|| panic!("unknown suite target `{name}`"));
-    (target.build)(crate::pool::worker_threads()).finish();
+    let cfg = RunCfg {
+        threads: crate::pool::worker_threads(),
+        trace: hawkeye_trace::env_enabled(),
+    };
+    target.run(cfg).finish();
 }

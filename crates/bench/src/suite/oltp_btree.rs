@@ -11,7 +11,9 @@
 //! regions first) from sequential-VA scanning. Not a figure of the
 //! paper: this is DESIGN.md §17's first generalization family.
 
-use crate::{pct, run_one, run_scenarios_with, secs, spd, Json, PolicyKind, Report, Row, Scenario};
+use crate::{
+    pct, run_one, run_scenarios, secs, spd, Json, PolicyKind, Report, Row, RunCfg, Scenario,
+};
 use hawkeye_workloads::BtreeOltp;
 
 /// Leaf span (2 MB regions) and transaction count for the suite run.
@@ -32,13 +34,13 @@ const KINDS: [PolicyKind; 9] = [
 
 /// Builds the `oltp_btree` report: one fragmented-machine run per
 /// policy, with MMU-overhead and fault-latency columns.
-pub fn report(threads: usize) -> Report {
-    report_with(LEAF_REGIONS, TXNS, threads)
+pub fn report(run: RunCfg) -> Report {
+    report_with(LEAF_REGIONS, TXNS, run)
 }
 
 /// [`report`] at an explicit scale — the byte-determinism test runs a
 /// reduced tree so the sweep stays affordable under the dev profile.
-pub fn report_with(leaf_regions: u64, txns: u64, threads: usize) -> Report {
+pub fn report_with(leaf_regions: u64, txns: u64, run: RunCfg) -> Report {
     // exec secs, MMU overhead, faults, avg fault µs, promotions
     type PolicyRow = (f64, f64, u64, f64, u64);
     let scenarios: Vec<Scenario<PolicyRow>> = KINDS
@@ -63,7 +65,7 @@ pub fn report_with(leaf_regions: u64, txns: u64, threads: usize) -> Report {
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
+    let batch = run_scenarios(scenarios, run.threads, run.trace);
 
     let mut report = Report::new(
         "oltp_btree",
@@ -78,6 +80,7 @@ pub fn report_with(leaf_regions: u64, txns: u64, threads: usize) -> Report {
             "promotions",
         ],
     );
+    let results = report.absorb(batch);
     let t4k = results[0].0;
     for (ki, kind) in KINDS.iter().enumerate() {
         let (exec, mmu, faults, fault_us, promos) = results[ki];

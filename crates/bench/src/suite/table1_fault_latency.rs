@@ -8,7 +8,7 @@
 //! from the fault path (HawkEye's async pre-zeroing) wins on both axes.
 
 use crate::{
-    dirty_free_memory, run_scenarios_with, secs, Json, PolicyKind, Report, Row, RunOutcome,
+    dirty_free_memory, run_scenarios, secs, Json, PolicyKind, Report, Row, RunCfg, RunOutcome,
     Scenario,
 };
 use hawkeye_kernel::{workload::script, MemOp, Simulator};
@@ -38,7 +38,7 @@ fn run_dirty(kind: PolicyKind, pages: u64, runs: u32) -> RunOutcome {
 }
 
 /// Builds the `table1` report: page faults and allocation latency at 4 KB vs 2 MB.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: RunCfg) -> Report {
     let pages_per_run = 40 * 1024; // 160 MiB
     let runs = 10;
     let scenarios: Vec<Scenario<Row>> = [
@@ -80,7 +80,8 @@ pub fn report(threads: usize) -> Report {
             "Total time (s)",
         ],
     );
-    report.extend(run_scenarios_with(scenarios, threads));
+    let rows = report.absorb(run_scenarios(scenarios, run.threads, run.trace));
+    report.extend(rows);
     report.footer(
         "(paper, Table 1: Linux-4KB 26.2M faults / 92.6s fault / 3.5us / 106s total;\n\
          Linux-2MB 51.5K / 23.9s / 465us / 24.9s; Ingens-90% 26.2M / 92.8s / 3.5us / 116s;\n\

@@ -6,7 +6,7 @@
 //! 1.62× native / 2.7× virtualized from huge pages. Footprints scaled
 //! ~128×.
 
-use crate::{pct, run_one, run_scenarios_with, spd, Json, PolicyKind, Report, Row, Scenario};
+use crate::{pct, run_one, run_scenarios, spd, Json, PolicyKind, Report, Row, RunCfg, Scenario};
 use hawkeye_kernel::{BasePagesOnly, Workload};
 use hawkeye_policies::LinuxThp;
 use hawkeye_virt::{VirtSystem, VmSpec};
@@ -97,7 +97,7 @@ fn scenario(name: &'static str) -> Scenario<Row> {
 }
 
 /// Builds the `table3` report: NPB memory characteristics and translation overheads.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: RunCfg) -> Report {
     let scenarios: Vec<Scenario<Row>> = ["bt.D", "sp.D", "lu.D", "mg.D", "cg.D", "ft.D", "ua.D"]
         .map(scenario)
         .into();
@@ -114,7 +114,8 @@ pub fn report(threads: usize) -> Report {
             "virtual speedup",
         ],
     );
-    report.extend(run_scenarios_with(scenarios, threads));
+    let rows = report.absorb(run_scenarios(scenarios, run.threads, run.trace));
+    report.extend(rows);
     report.footer(
         "(paper, Table 3: cg.D 39% walk cycles at 4KB -> 0.02% at 2MB,\n\
          1.62x native / 2.7x virtual; mg.D ~1% despite the largest WSS)",

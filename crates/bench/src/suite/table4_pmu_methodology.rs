@@ -7,11 +7,11 @@
 //! prints the raw counters alongside the derived overhead, verifying the
 //! formula end to end.
 
-use crate::{pct, run_one, run_scenarios_with, Json, PolicyKind, Report, Row, Scenario};
+use crate::{pct, run_one, run_scenarios, Json, PolicyKind, Report, Row, RunCfg, Scenario};
 use hawkeye_workloads::PatternScan;
 
 /// Builds the `table4` report: the MMU-overhead measurement methodology comparison.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: RunCfg) -> Report {
     let scenarios: Vec<Scenario<Row>> = [("random-192MB", true), ("sequential-192MB", false)]
         .into_iter()
         .map(|(name, random)| {
@@ -57,7 +57,8 @@ pub fn report(threads: usize) -> Report {
             "(C1+C2)/C3",
         ],
     );
-    report.extend(run_scenarios_with(scenarios, threads));
+    let rows = report.absorb(run_scenarios(scenarios, run.threads, run.trace));
+    report.extend(rows);
     report.footer("formula verified: overhead == (C1 + C2) / C3 exactly");
     report
 }

@@ -6,7 +6,7 @@
 //! fast when memory is plentiful, memory-efficient under pressure.
 //! Scaled 256×: 24 K keys (96 MiB), delete 60 %.
 
-use crate::{run_scenarios_with, Json, PolicyKind, Report, Row, Scenario};
+use crate::{run_scenarios, Json, PolicyKind, Report, Row, RunCfg, Scenario};
 use hawkeye_kernel::Simulator;
 use hawkeye_metrics::Cycles;
 use hawkeye_workloads::{RedisKv, RedisOp};
@@ -110,7 +110,7 @@ fn run(kind: PolicyKind, mib: u64, hog_pages: u64) -> (f64, f64) {
 }
 
 /// Builds the `table7` report: Redis memory vs throughput under bloat recovery.
-pub fn report(threads: usize) -> Report {
+pub fn report(cfg: RunCfg) -> Report {
     let scenarios: Vec<Scenario<Row>> = [
         (PolicyKind::Linux4k, "No", 0u64),
         (PolicyKind::Linux2m, "No", 0),
@@ -148,7 +148,8 @@ pub fn report(threads: usize) -> Report {
             "Throughput (Kops/s)",
         ],
     );
-    report.extend(run_scenarios_with(scenarios, threads));
+    let rows = report.absorb(run_scenarios(scenarios, cfg.threads, cfg.trace));
+    report.extend(rows);
     report.footer(
         "(paper, Table 7: Linux-4KB 16.2GB/106K; Linux-2MB 33.2GB/113.8K;\n\
          Ingens-90% 16.3GB/106.8K; Ingens-50% 33.1GB/113.4K;\n\

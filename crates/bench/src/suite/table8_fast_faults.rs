@@ -8,7 +8,7 @@
 //! threshold *hurts* these workloads by multiplying faults.
 
 use crate::{
-    dirty_free_memory, run_scenarios_with, secs, Json, PolicyKind, Report, Row, RunOutcome,
+    dirty_free_memory, run_scenarios, secs, Json, PolicyKind, Report, Row, RunCfg, RunOutcome,
     Scenario,
 };
 use hawkeye_kernel::{workload::script, MemOp, Simulator, Workload};
@@ -61,7 +61,7 @@ fn workloads() -> Vec<(&'static str, WorkloadCtor)> {
 }
 
 /// Builds the `table8` report: fault-bound workloads under async pre-zeroing.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: RunCfg) -> Report {
     let kinds = [
         PolicyKind::Linux4k,
         PolicyKind::Linux2m,
@@ -88,7 +88,7 @@ pub fn report(threads: usize) -> Report {
             })
         })
         .collect();
-    let cells = run_scenarios_with(scenarios, threads);
+    let batch = run_scenarios(scenarios, run.threads, run.trace);
 
     let mut header: Vec<&'static str> = vec!["Workload"];
     header.extend(kinds.iter().map(|k| k.label()));
@@ -97,6 +97,7 @@ pub fn report(threads: usize) -> Report {
         "Table 8: fault-dominated workloads, steady-state (dirty) free memory",
         header,
     );
+    let cells = report.absorb(batch);
     for (w, chunk) in workloads().iter().zip(cells.chunks(kinds.len())) {
         let mut row = vec![w.0.to_string()];
         row.extend(chunk.iter().map(|(cell, _)| cell.clone()));

@@ -6,7 +6,7 @@
 //! reports random(4GB) 1.77× under PMU vs 1.41× under G, and cg.D 1.62×
 //! vs 1.35× (PMU up to 36 % better).
 
-use crate::{run_scenarios_with, secs, spd, Json, PolicyKind, Report, Row, Scenario};
+use crate::{run_scenarios, secs, spd, Json, PolicyKind, Report, Row, RunCfg, Scenario};
 use hawkeye_kernel::{Simulator, Workload};
 use hawkeye_metrics::Cycles;
 use hawkeye_workloads::{NpbKernel, PatternScan};
@@ -54,7 +54,7 @@ fn run_set(kind: PolicyKind, which: &str) -> Vec<(String, f64, f64)> {
 }
 
 /// Builds the `table9` report: HawkEye-PMU vs HawkEye-G on co-running pairs.
-pub fn report(threads: usize) -> Report {
+pub fn report(run: RunCfg) -> Report {
     // One scenario per (set, policy): each runs the co-scheduled pair.
     let matrix = [
         ("set1", PolicyKind::Linux4k),
@@ -72,7 +72,7 @@ pub fn report(threads: usize) -> Report {
             })
         })
         .collect();
-    let results = run_scenarios_with(scenarios, threads);
+    let batch = run_scenarios(scenarios, run.threads, run.trace);
 
     let mut report = Report::new(
         "table9_pmu_vs_g",
@@ -87,6 +87,7 @@ pub fn report(threads: usize) -> Report {
             "G speedup",
         ],
     );
+    let results = report.absorb(batch);
     for (si, which) in ["set1", "set2"].into_iter().enumerate() {
         let base = &results[si * 3];
         let pmu = &results[si * 3 + 1];

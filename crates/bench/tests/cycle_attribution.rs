@@ -4,7 +4,7 @@
 //! unattributed residue — and the summary's `cycles` section must be
 //! byte-identical at any worker count, like every other bench artifact.
 
-use hawkeye_bench::{cycles_json, run_one, run_scenarios_capturing, PolicyKind, Scenario};
+use hawkeye_bench::{cycles_json, run_one, run_scenarios, PolicyKind, Scenario};
 use hawkeye_trace::TraceEvent;
 use hawkeye_workloads::AllocTouch;
 
@@ -37,7 +37,8 @@ fn matrix() -> Vec<Scenario<u64>> {
 
 #[test]
 fn every_policy_attributes_every_cycle() {
-    let (_, journals, regs) = run_scenarios_capturing(matrix(), 4);
+    let batch = run_scenarios(matrix(), 4, true);
+    let (journals, regs) = (batch.journals, batch.registries);
     assert_eq!(regs.len(), KINDS.len(), "every scenario must return a registry");
     for (name, reg) in &regs {
         let m = reg.machine(0).unwrap_or_else(|| panic!("{name}: machine not attached"));
@@ -77,8 +78,8 @@ fn every_policy_attributes_every_cycle() {
 
 #[test]
 fn cycles_section_is_byte_identical_across_worker_counts() {
-    let (_, _, r1) = run_scenarios_capturing(matrix(), 1);
-    let (_, _, r8) = run_scenarios_capturing(matrix(), 8);
+    let r1 = run_scenarios(matrix(), 1, true).registries;
+    let r8 = run_scenarios(matrix(), 8, true).registries;
     let doc1 = cycles_json(&r1).to_string();
     let doc8 = cycles_json(&r8).to_string();
     assert_eq!(doc1, doc8, "cycles section must not depend on worker count");

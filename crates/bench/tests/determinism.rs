@@ -4,14 +4,11 @@
 //! Runs a representative policy × workload matrix (the Table-1 shape:
 //! fault-measured simulations with per-row JSON) once on 1 worker and
 //! once on 8, and compares the fully-formatted [`Report`] output.
-//! Worker counts are pinned through [`run_scenarios_with`], not the
+//! Worker counts are pinned through [`run_scenarios`]' arguments, not the
 //! `HAWKEYE_BENCH_THREADS` environment variable, so this test stays
 //! race-free when cargo runs tests in parallel.
 
-use hawkeye_bench::{
-    run_one, run_scenarios_capturing, run_scenarios_with, trace_json, Json, PolicyKind, Report,
-    Row, Scenario,
-};
+use hawkeye_bench::{run_one, run_scenarios, trace_json, Json, PolicyKind, Report, Row, Scenario};
 use hawkeye_workloads::Spinup;
 
 const KINDS: [PolicyKind; 5] = [
@@ -55,7 +52,8 @@ fn render(threads: usize) -> (String, String) {
         "Determinism check: Spinup faults across policies",
         vec!["Policy", "faults", "avg fault (us)", "exec (s)"],
     );
-    report.extend(run_scenarios_with(matrix(), threads));
+    let rows = report.absorb(run_scenarios(matrix(), threads, false));
+    report.extend(rows);
     (report.text(), report.json().to_string())
 }
 
@@ -77,10 +75,10 @@ fn trace_journals_match_at_one_and_eight_workers() {
     // The determinism rule extends to traces: per-scenario journals come
     // back in submission order with machine ids assigned per scenario, so
     // the serialized `.trace.json` document is byte-identical at any
-    // worker count. Tracing is forced through the capturing API, not the
+    // worker count. Tracing is an explicit argument, not the
     // `HAWKEYE_TRACE` environment variable, keeping the test race-free.
-    let (_, journals1, _) = run_scenarios_capturing(matrix(), 1);
-    let (_, journals8, _) = run_scenarios_capturing(matrix(), 8);
+    let journals1 = run_scenarios(matrix(), 1, true).journals;
+    let journals8 = run_scenarios(matrix(), 8, true).journals;
     let doc1 = trace_json("determinism_matrix", &journals1).to_string();
     let doc8 = trace_json("determinism_matrix", &journals8).to_string();
     assert_eq!(doc1, doc8, "trace document must not depend on worker count");

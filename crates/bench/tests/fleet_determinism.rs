@@ -4,15 +4,14 @@
 //!
 //! Worker counts are pinned through `report_with`'s `threads` argument,
 //! not `HAWKEYE_BENCH_THREADS`, so the test stays race-free under
-//! parallel test execution. Everything lives in one `#[test]` because
-//! `report_with` hands the fleet's journals to the process-global
-//! trace-journal queue — concurrent tests draining that queue would race.
+//! parallel test execution. Each run's journals come back owned by its
+//! `Report`, so the runs are independent; one `#[test]` keeps the three
+//! 256-host runs sequential, bounding the test's memory and CPU.
 
 use hawkeye_analyze::fleet::fleet_md;
 use hawkeye_analyze::summary::parse_summary;
 use hawkeye_bench::scenario::trace_doc_string;
 use hawkeye_bench::suite::fleet_slo::report_with;
-use hawkeye_bench::take_queued_trace_journals;
 use hawkeye_fleet::FleetConfig;
 
 /// One full 256-host fleet run at `threads` workers, reduced to the three
@@ -21,9 +20,8 @@ fn artifacts(threads: usize) -> (String, String, String) {
     let cfg = FleetConfig::sized(256);
     let report = report_with(&cfg, threads);
     let summary = report.json().to_string();
-    let journals = take_queued_trace_journals();
-    assert!(!journals.is_empty(), "fleet must persist journaled hosts");
-    let trace = trace_doc_string("fleet_slo", &journals);
+    assert!(!report.journals.is_empty(), "fleet must persist journaled hosts");
+    let trace = trace_doc_string("fleet_slo", &report.journals);
     let doc = parse_summary(&summary).expect("fleet summary parses");
     let fleet = fleet_md(&doc).expect("fleet_slo renders FLEET.md");
     (summary, trace, fleet)

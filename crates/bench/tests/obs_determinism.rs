@@ -11,15 +11,15 @@
 //!
 //! Telemetry is pinned through `report_with_obs`'s explicit flag, not
 //! `HAWKEYE_OBS`, so the test stays race-free under parallel test
-//! execution; everything lives in one `#[test]` because the obs-doc and
-//! trace-journal queues are process-global.
+//! execution. Each run's obs document and journals come back owned by
+//! its `Report`; one `#[test]` keeps the runs sequential and lets the
+//! zero-drift comparisons reuse the telemetry-off artifacts.
 
 use hawkeye_analyze::fleet::fleet_md;
 use hawkeye_analyze::obs::parse_obs;
 use hawkeye_analyze::summary::parse_summary;
 use hawkeye_bench::scenario::trace_doc_string;
 use hawkeye_bench::suite::fleet_slo::report_with_obs;
-use hawkeye_bench::{take_queued_obs_docs, take_queued_trace_journals};
 use hawkeye_fleet::FleetConfig;
 use hawkeye_obs::alerts_md;
 
@@ -30,14 +30,12 @@ fn artifacts(threads: usize, observe: bool) -> (String, String, String, String) 
     let cfg = FleetConfig::sized(256);
     let report = report_with_obs(&cfg, threads, observe);
     let summary = report.json().to_string();
-    let journals = take_queued_trace_journals();
-    assert!(!journals.is_empty(), "fleet must persist journaled hosts");
-    let trace = trace_doc_string("fleet_slo", &journals);
-    let docs = take_queued_obs_docs();
-    assert_eq!(docs.len(), usize::from(observe), "obs doc queued iff observing");
+    assert!(!report.journals.is_empty(), "fleet must persist journaled hosts");
+    let trace = trace_doc_string("fleet_slo", &report.journals);
+    assert_eq!(report.obs_doc.is_some(), observe, "obs doc present iff observing");
     let doc = parse_summary(&summary).expect("fleet summary parses");
     let fleet = fleet_md(&doc).expect("fleet_slo renders FLEET.md");
-    (summary, trace, fleet, docs.into_iter().next().unwrap_or_default())
+    (summary, trace, fleet, report.obs_doc.unwrap_or_default())
 }
 
 #[test]
@@ -62,7 +60,7 @@ fn obs_artifacts_are_deterministic_and_observation_is_zero_drift() {
         trace_on.starts_with(host_part),
         "host journals must be byte-identical with telemetry on"
     );
-    assert!(!obs1.is_empty(), "telemetry run queues the obs document");
+    assert!(!obs1.is_empty(), "telemetry run carries the obs document");
 
     // Telemetry on: the obs document is worker-count- and run-stable.
     let (_, trace_on8, _, obs8) = artifacts(8, true);

@@ -7,10 +7,10 @@
 //!
 //! Worker counts are pinned through each target's `report_with`
 //! arguments, not `HAWKEYE_BENCH_THREADS`, so the test stays race-free
-//! under parallel test execution. Everything lives in one `#[test]`
-//! because traced runs hand journals to the process-global
-//! trace-journal queue — concurrent tests draining that queue would
-//! race. The targets run at reduced scale (shorter victim, smaller
+//! under parallel test execution, and tracing through the same explicit
+//! [`RunCfg`], not `HAWKEYE_TRACE`. Each run's journals come back owned
+//! by its `Report`; one `#[test]` keeps the sweeps sequential, bounding
+//! the test's memory and CPU. The targets run at reduced scale (shorter victim, smaller
 //! tree/grid, two-point intensity sweep): determinism is a property of
 //! the engine and the generators, not of the workload length, and the
 //! full-scale sweep is unaffordable under the dev profile.
@@ -20,24 +20,27 @@ use hawkeye_analyze::parse_trace;
 use hawkeye_analyze::summary::parse_summary;
 use hawkeye_bench::scenario::trace_doc_string;
 use hawkeye_bench::suite::{adversarial, hpc_stencil, oltp_btree};
-use hawkeye_bench::take_queued_trace_journals;
+use hawkeye_bench::RunCfg;
 
 /// One reduced-scale run of a family at `threads` workers, reduced to
 /// the summary JSON and trace-document byte streams.
 fn family(target: &str, threads: usize) -> (String, String) {
+    let run = RunCfg {
+        threads,
+        trace: true,
+    };
     let report = match target {
-        "oltp_btree" => oltp_btree::report_with(8, 20_000, threads),
-        "hpc_stencil" => hpc_stencil::report_with(4, 8, threads),
-        "adversarial" => adversarial::report_with(50_000, &[0.0, 0.75], threads),
+        "oltp_btree" => oltp_btree::report_with(8, 20_000, run),
+        "hpc_stencil" => hpc_stencil::report_with(4, 8, run),
+        "adversarial" => adversarial::report_with(50_000, &[0.0, 0.75], run),
         other => panic!("unknown family {other}"),
     };
     let summary = report.json().to_string();
-    let journals = take_queued_trace_journals();
     assert!(
-        !journals.is_empty(),
-        "{target}: traced run must queue journals"
+        !report.journals.is_empty(),
+        "{target}: traced run must record journals"
     );
-    let trace = trace_doc_string(target, &journals);
+    let trace = trace_doc_string(target, &report.journals);
     (summary, trace)
 }
 
@@ -51,8 +54,6 @@ fn envelopes(summary: &str, trace: &str) -> String {
 
 #[test]
 fn family_artifacts_are_byte_identical_across_worker_counts_and_runs() {
-    hawkeye_trace::set_forced(true);
-
     for target in ["oltp_btree", "hpc_stencil", "adversarial"] {
         let (sum1, trace1) = family(target, 1);
         let (sum8, trace8) = family(target, 8);
@@ -86,6 +87,4 @@ fn family_artifacts_are_byte_identical_across_worker_counts_and_runs() {
             );
         }
     }
-
-    hawkeye_trace::set_forced(false);
 }

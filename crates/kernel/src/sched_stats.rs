@@ -1,43 +1,42 @@
-//! Process-wide event-skip scheduler counters.
+//! Thread-scoped event-skip scheduler counters.
 //!
 //! The run loop tracks, per [`crate::Simulator`], how many scheduler
 //! quanta elapsed and how many of those were charged in closed form by
-//! the event-skip scheduler instead of executed. Simulators flush their
-//! local counters here when a run call returns, so harnesses (the bench
-//! suite's wall-clock artifacts, the CI skip-efficiency gate) can read
-//! machine-independent totals without threading handles through every
-//! layer.
+//! the event-skip scheduler instead of executed. Simulators add their
+//! local counters to the *calling thread's* totals when a run call
+//! returns, and the worker pool (`hawkeye_fleet::pool::run_ordered`)
+//! credits each job's quanta back to the thread that submitted it. A
+//! harness therefore reads exactly the work it ran or submitted as the
+//! difference of two [`snapshot`]s, whatever else runs concurrently in
+//! the process (the bench suite's wall-clock artifacts, the CI
+//! skip-efficiency gate).
 //!
 //! The counters are host-side instrumentation only: they are never part
 //! of deterministic simulation output (reports, traces, metric
 //! registries) — skipping changes *how* quanta are charged, not what any
 //! simulated observable reads.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static QUANTA_TOTAL: AtomicU64 = AtomicU64::new(0);
-static QUANTA_SKIPPED: AtomicU64 = AtomicU64::new(0);
-
-/// Adds one run call's quanta to the process-wide totals.
-pub(crate) fn flush(total: u64, skipped: u64) {
-    if total > 0 {
-        QUANTA_TOTAL.fetch_add(total, Ordering::Relaxed);
-    }
-    if skipped > 0 {
-        QUANTA_SKIPPED.fetch_add(skipped, Ordering::Relaxed);
-    }
+thread_local! {
+    static QUANTA: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-/// `(quanta_total, quanta_skipped)` accumulated by every simulator run
-/// in this process since start (or the last [`reset`]).
+/// Adds `total` quanta, `skipped` of them charged in closed form, to this
+/// thread's totals. The simulator calls this when a run call returns; the
+/// worker pool calls it to credit a job's quanta to its submitter.
+pub fn add(total: u64, skipped: u64) {
+    QUANTA.with(|q| {
+        let (t, s) = q.get();
+        q.set((t + total, s + skipped));
+    });
+}
+
+/// `(quanta_total, quanta_skipped)` accumulated on this thread since it
+/// started: its own simulator runs plus the quanta of every pool job it
+/// submitted. Callers take the difference of two snapshots.
 pub fn snapshot() -> (u64, u64) {
-    (QUANTA_TOTAL.load(Ordering::Relaxed), QUANTA_SKIPPED.load(Ordering::Relaxed))
-}
-
-/// Zeroes the totals (benchmark harnesses isolate per-target windows).
-pub fn reset() {
-    QUANTA_TOTAL.store(0, Ordering::Relaxed);
-    QUANTA_SKIPPED.store(0, Ordering::Relaxed);
+    QUANTA.with(Cell::get)
 }
 
 #[cfg(test)]
@@ -45,18 +44,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flush_accumulates_and_reset_zeroes() {
-        // Other tests in the process may flush concurrently; assert on
-        // deltas of a private baseline rather than absolute values.
+    fn add_is_visible_only_on_the_adding_thread() {
         let (t0, s0) = snapshot();
-        flush(10, 7);
-        let (t1, s1) = snapshot();
-        assert!(t1 >= t0 + 10);
-        assert!(s1 >= s0 + 7);
-        reset();
-        // After reset the totals restart from zero (possibly plus
-        // concurrent flushes, which only add).
-        let (t2, _) = snapshot();
-        assert!(t2 < t1);
+        add(10, 7);
+        assert_eq!(snapshot(), (t0 + 10, s0 + 7));
+        let other = std::thread::spawn(|| {
+            add(3, 1);
+            snapshot()
+        })
+        .join()
+        .expect("thread ran");
+        assert_eq!(other, (3, 1), "a fresh thread starts from zero");
+        assert_eq!(snapshot(), (t0 + 10, s0 + 7), "other threads never leak in");
     }
 }

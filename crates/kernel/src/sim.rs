@@ -257,7 +257,7 @@ impl Simulator {
         }
         self.machine.mmu_mut().flush_metrics();
         self.machine.drain_concurrency();
-        crate::sched_stats::flush(total, skipped);
+        crate::sched_stats::add(total, skipped);
         self.machine.now()
     }
 

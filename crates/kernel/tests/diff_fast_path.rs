@@ -431,12 +431,14 @@ fn event_skip_matches_tick_loop_for_all_nine_policies() {
 fn event_skip_actually_skips_quanta_here() {
     // Guard against the differential above passing vacuously: on this
     // workload the skip arms must engage. Counter-based (sched_stats),
-    // so the assertion is deterministic.
-    hawkeye_kernel::sched_stats::reset();
+    // so the assertion is deterministic; the counters are thread-scoped,
+    // so the delta counts this run alone, not the tests running beside it.
+    let (t0, s0) = hawkeye_kernel::sched_stats::snapshot();
     let (_, policy) = nine_policies(6);
     let (sim, _, _) = run_instrumented(true, policy, 7);
     assert!(sim.machine().now() > Cycles::ZERO);
-    let (total, skipped) = hawkeye_kernel::sched_stats::snapshot();
+    let (t1, s1) = hawkeye_kernel::sched_stats::snapshot();
+    let (total, skipped) = (t1 - t0, s1 - s0);
     assert!(total > 0, "run recorded no quanta");
     assert!(
         skipped > 0,

@@ -40,13 +40,14 @@ fn representative_ops() -> Vec<MemOp> {
 
 #[test]
 fn skip_ratio_meets_threshold() {
-    sched_stats::reset();
+    let (t0, s0) = sched_stats::snapshot();
     let cfg = KernelConfig::small();
     assert!(cfg.event_skip, "event-skip must be the default");
     let mut sim = Simulator::new(cfg, Box::new(HawkEye::new(HawkEyeConfig::default())));
     sim.spawn(script("rep", representative_ops()));
     sim.run();
-    let (total, skipped) = sched_stats::snapshot();
+    let (t1, s1) = sched_stats::snapshot();
+    let (total, skipped) = (t1 - t0, s1 - s0);
     assert!(total > 100, "workload too small to be representative ({total} quanta)");
     let ratio = skipped as f64 / total as f64;
     // Deterministic floor with headroom below the measured ratio; a

@@ -1,7 +1,7 @@
 //! `hawkeye-report`: the one-command paper-reproduction pipeline.
 //!
 //! One invocation runs the full scenario suite
-//! ([`hawkeye_bench::suite::TARGETS`]) in-process with tracing forced on,
+//! ([`hawkeye_bench::suite::TARGETS`]) in-process with tracing on,
 //! collects every target's summary JSON and `.trace.json` journal, loads
 //! them back through the `hawkeye-analyze` parsers, and renders a single
 //! deterministic `target/report/REPORT.md` that puts every table and
@@ -29,6 +29,7 @@ use std::path::{Path, PathBuf};
 use hawkeye_analyze::summary::{parse_summary, SummaryDoc};
 use hawkeye_analyze::{parse_trace, TraceDoc};
 use hawkeye_bench::suite::{self, Target};
+use hawkeye_bench::RunCfg;
 
 /// The inclusive `[lo, hi]` interval a reproduced value must land in.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -178,11 +179,12 @@ pub fn select_targets(only: Option<&[String]>) -> Result<Vec<&'static Target>, S
     Ok(suite::TARGETS.iter().filter(|t| names.iter().any(|n| n == t.name)).collect())
 }
 
-/// Host wall-clock spent on one suite target, assembled from a
-/// monotonic clock around the target's run plus the phase breakdown the
-/// bench pipeline dumps to `<target>.wallclock.json`. Host timing never
-/// enters REPORT.md or any deterministic artifact — it feeds the
-/// separate WALLCLOCK.md table (EXPERIMENTS.md "Suite wall-clock").
+/// Host wall-clock spent on one suite target: a monotonic clock around
+/// the whole target plus the phase breakdown and quanta its
+/// [`TargetRun`](hawkeye_bench::TargetRun) carried — the same values the
+/// `<target>.wallclock.json` sidecar records. Host timing never enters
+/// REPORT.md or any deterministic artifact — it feeds the separate
+/// WALLCLOCK.md table (EXPERIMENTS.md "Suite wall-clock").
 #[derive(Debug, Clone)]
 pub struct TargetWall {
     /// Bench-target name.
@@ -190,125 +192,50 @@ pub struct TargetWall {
     /// End-to-end wall seconds for the target: scenario engine, table
     /// formatting, and every artifact dump.
     pub total_secs: f64,
-    /// `(phase, seconds)` breakdown from the sidecar (`engine`,
-    /// `summary_write`, `trace_write`); empty when the sidecar is
-    /// missing.
-    pub phases: Vec<(String, f64)>,
+    /// `(phase, seconds)` breakdown (`engine`, `summary_write`,
+    /// `trace_write`).
+    pub phases: Vec<(&'static str, f64)>,
     /// Scheduler quanta elapsed across the target's simulations.
     pub quanta_total: u64,
     /// Quanta the event-skip scheduler charged in closed form.
     pub quanta_skipped: u64,
-    /// True when the sidecar existed but could not be read or parsed:
-    /// the phase/quanta fields above are meaningless and WALLCLOCK.md
-    /// renders `n/a` instead of silent zeros. A *missing* sidecar (the
-    /// target recorded nothing) keeps the defaults with `corrupt: false`.
-    pub corrupt: bool,
 }
 
 impl TargetWall {
-    /// Seconds recorded against one sidecar phase (0 when absent).
+    /// Seconds recorded against one phase (0 when absent).
     pub fn phase_secs(&self, phase: &str) -> f64 {
-        self.phases.iter().find(|(p, _)| p == phase).map_or(0.0, |(_, s)| *s)
+        self.phases.iter().find(|(p, _)| *p == phase).map_or(0.0, |(_, s)| *s)
     }
 }
 
-/// `(phases, quanta_total, quanta_skipped)` from a timing sidecar.
-type WallSidecar = (Vec<(String, f64)>, u64, u64);
-
-/// Reads `<dir>/<name>.wallclock.json` back. `Ok(None)` means the
-/// sidecar does not exist (the target recorded nothing — legitimate);
-/// `Err` means it exists but is unreadable or malformed, which callers
-/// must surface instead of rendering silent zeros. Required keys that
-/// are absent or mistyped are errors, not zeros: a sidecar the writer
-/// and reader disagree about is corrupt, not empty. Keys the reader does
-/// not know are ignored, so sidecars from older writers (which also
-/// carried `cores`/`core_busy`) still load.
-fn read_wallclock(dir: &Path, name: &str) -> Result<Option<WallSidecar>, String> {
-    let path = dir.join(format!("{name}.wallclock.json"));
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    let doc = hawkeye_analyze::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let obj = doc.as_obj().ok_or_else(|| format!("{}: not a JSON object", path.display()))?;
-    let get = |k: &str| obj.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-    let required = |k: &str| {
-        get(k).ok_or_else(|| format!("{}: missing \"{k}\"", path.display()))
-    };
-    let phases = required("phases")?
-        .as_arr()
-        .ok_or_else(|| format!("{}: \"phases\" is not an array", path.display()))?
-        .iter()
-        .map(|p| {
-            let o = p
-                .as_obj()
-                .ok_or_else(|| format!("{}: phase entry is not an object", path.display()))?;
-            let field = |k: &str| {
-                o.iter()
-                    .find(|(key, _)| key == k)
-                    .map(|(_, v)| v)
-                    .ok_or_else(|| format!("{}: phase entry missing \"{k}\"", path.display()))
-            };
-            let phase = field("phase")?
-                .as_str()
-                .ok_or_else(|| format!("{}: \"phase\" is not a string", path.display()))?
-                .to_string();
-            let secs = field("secs")?
-                .as_f64()
-                .ok_or_else(|| format!("{}: \"secs\" is not a number", path.display()))?;
-            Ok((phase, secs))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let int = |k: &str| {
-        required(k)?
-            .as_u64()
-            .ok_or_else(|| format!("{}: \"{k}\" is not a u64", path.display()))
-    };
-    Ok(Some((phases, int("quanta_total")?, int("quanta_skipped")?)))
-}
-
-/// Runs the selected targets in-process with tracing forced on, writing
+/// Runs the selected targets in-process with tracing on, writing
 /// `<dir>/<target>.json` and `<dir>/<target>.trace.json` for each. The
 /// bench tables go to stdout exactly as the standalone binaries print
 /// them, so a report run doubles as a full-suite run. Returns the host
 /// wall-clock record per target (suite order) for the WALLCLOCK.md
 /// table; the deterministic artifacts never see these numbers.
 pub fn run_suite(targets: &[&'static Target], threads: usize, dir: &Path) -> Vec<TargetWall> {
-    hawkeye_trace::set_forced(true);
-    let mut walls = Vec::with_capacity(targets.len());
-    for t in targets {
-        let t0 = std::time::Instant::now();
-        let report = (t.build)(threads);
-        print!("{}", report.text());
-        hawkeye_bench::write_json_in(dir, t.name, &report.json());
-        let total_secs = t0.elapsed().as_secs_f64();
-        let (sidecar, corrupt) = match read_wallclock(dir, t.name) {
-            Ok(s) => (s.unwrap_or_default(), false),
-            Err(e) => {
-                eprintln!(
-                    "[hawkeye-report] warning: unreadable wallclock sidecar ({e}); \
-                     rendering n/a in WALLCLOCK.md"
-                );
-                (WallSidecar::default(), true)
+    let cfg = RunCfg { threads, trace: true };
+    targets
+        .iter()
+        .map(|t| {
+            let t0 = std::time::Instant::now();
+            let run = t.run(cfg);
+            print!("{}", run.report.text());
+            let phases = run.write_in(dir, &run.report.json());
+            TargetWall {
+                name: t.name,
+                total_secs: t0.elapsed().as_secs_f64(),
+                phases,
+                quanta_total: run.quanta_total,
+                quanta_skipped: run.quanta_skipped,
             }
-        };
-        let (phases, quanta_total, quanta_skipped) = sidecar;
-        walls.push(TargetWall {
-            name: t.name,
-            total_secs,
-            phases,
-            quanta_total,
-            quanta_skipped,
-            corrupt,
-        });
-    }
-    hawkeye_trace::set_forced(false);
-    walls
+        })
+        .collect()
 }
 
 /// Renders the suite wall-clock table (WALLCLOCK.md): per-target totals,
-/// the sidecar phase breakdown, and event-skip efficiency, slowest
+/// the phase breakdown, and event-skip efficiency, slowest
 /// first, with a suite-total row. Host timing lives only here — never in
 /// REPORT.md — so the table can change run to run while the report stays
 /// byte-identical.
@@ -319,8 +246,9 @@ pub fn wallclock_table(walls: &[TargetWall], threads: usize) -> String {
         "Host wall-clock per suite target on {threads} worker thread(s), \
          from a monotonic clock kept out of every deterministic artifact \
          (see EXPERIMENTS.md \"Suite wall-clock\"). Phases: `engine` is \
-         the scenario-engine run, `summary` and `trace` are the artifact \
-         dumps; the remainder is table formatting and load-back. \
+         the target's build (its simulations and table assembly), \
+         `summary` and `trace` are the artifact dumps; the remainder is \
+         stdout printing and the sidecar write. \
          `skip%` is the fraction of scheduler quanta the event-skip \
          scheduler charged in closed form instead of executing.\n\n",
     ));
@@ -331,16 +259,6 @@ pub fn wallclock_table(walls: &[TargetWall], threads: usize) -> String {
     let mut order: Vec<&TargetWall> = walls.iter().collect();
     order.sort_by(|a, b| b.total_secs.total_cmp(&a.total_secs));
     for w in order {
-        if w.corrupt {
-            // The sidecar existed but couldn't be read: everything it
-            // would have provided renders n/a (the end-to-end total comes
-            // from the monotonic clock around the run, not the sidecar).
-            out.push_str(&format!(
-                "| `{}` | {:.2} | n/a | n/a | n/a | n/a | n/a |\n",
-                w.name, w.total_secs,
-            ));
-            continue;
-        }
         let skip_pct = if w.quanta_total == 0 {
             "—".to_string()
         } else {
@@ -723,71 +641,19 @@ mod tests {
     }
 
     #[test]
-    fn absent_wallclock_sidecar_is_ok_none() {
-        let dir = scratch("absent");
-        assert_eq!(read_wallclock(&dir, "nope").expect("absent is fine"), None);
-    }
-
-    #[test]
-    fn truncated_wallclock_sidecar_is_an_error_not_zeros() {
-        let dir = scratch("truncated");
-        // A real sidecar cut off mid-document (the crash/ENOSPC shape).
-        std::fs::write(
-            dir.join("t.wallclock.json"),
-            "{\"target\":\"t\",\"phases\":[{\"phase\":\"engine\",\"se",
-        )
-        .expect("write");
-        let err = read_wallclock(&dir, "t").expect_err("truncated must error");
-        assert!(err.contains("t.wallclock.json"), "names the file: {err}");
-    }
-
-    #[test]
-    fn wallclock_sidecar_missing_required_key_is_an_error() {
-        let dir = scratch("nokey");
-        // Valid JSON, but `quanta_total` was renamed — must not read as 0.
-        std::fs::write(
-            dir.join("t.wallclock.json"),
-            r#"{"target":"t","phases":[],"total_secs":0,"quanta":9,"quanta_skipped":0}"#,
-        )
-        .expect("write");
-        let err = read_wallclock(&dir, "t").expect_err("missing key must error");
-        assert!(err.contains("quanta_total"), "names the key: {err}");
-    }
-
-    #[test]
-    fn wallclock_sidecar_with_retired_core_keys_still_loads() {
-        let dir = scratch("retired-keys");
-        // Older writers also emitted the real-thread replay's `cores` and
-        // `core_busy`; the reader ignores them rather than failing.
-        std::fs::write(
-            dir.join("t.wallclock.json"),
-            concat!(
-                r#"{"target":"t","phases":[{"phase":"engine","secs":1.5}],"total_secs":1.5,"#,
-                r#""quanta_total":9,"quanta_skipped":4,"cores":2,"#,
-                r#""core_busy":[{"core":0,"busy_ns":5000,"stall_ns":120,"cas_retries":3}]}"#,
-            ),
-        )
-        .expect("write");
-        let sidecar = read_wallclock(&dir, "t").expect("older sidecar loads").expect("present");
-        assert_eq!(sidecar, (vec![("engine".to_string(), 1.5)], 9, 4));
-    }
-
-    #[test]
-    fn wallclock_table_renders_na_for_corrupt_sidecars() {
-        let wall = |name: &'static str, corrupt: bool| TargetWall {
+    fn wallclock_table_sorts_slowest_first_and_totals_phases() {
+        let wall = |name: &'static str, total_secs: f64| TargetWall {
             name,
-            total_secs: 1.25,
-            phases: vec![("engine".into(), 1.0)],
+            total_secs,
+            phases: vec![("engine", 1.0), ("summary_write", 0.25)],
             quanta_total: 10,
             quanta_skipped: 5,
-            corrupt,
         };
-        let table = wallclock_table(&[wall("good", false), wall("bad", true)], 1);
-        assert!(table.contains("| `good` | 1.25 | 1.00 |"), "{table}");
-        assert!(
-            table.contains("| `bad` | 1.25 | n/a | n/a | n/a | n/a | n/a |"),
-            "{table}"
-        );
+        let table = wallclock_table(&[wall("fast", 1.25), wall("slow", 2.5)], 1);
+        let slow = table.find("| `slow` | 2.50 | 1.00 | 0.25 | 0.00 | 10 | 50.0% |");
+        let fast = table.find("| `fast` | 1.25 | 1.00 | 0.25 | 0.00 | 10 | 50.0% |");
+        assert!(slow.is_some() && fast.is_some() && slow < fast, "{table}");
+        assert!(table.contains("| **suite total** | **3.75** | 2.00 | 0.50 | 0.00 | 20 | 50.0% |"));
     }
 
     #[test]
@@ -831,7 +697,6 @@ mod tests {
                 phases: Vec::new(),
                 quanta_total: 1000,
                 quanta_skipped: 800,
-                corrupt: false,
             },
             TargetWall {
                 name: "b",
@@ -839,7 +704,6 @@ mod tests {
                 phases: Vec::new(),
                 quanta_total: 5000,
                 quanta_skipped: 4500,
-                corrupt: false,
             },
         ];
         let sections = vec![Section {

@@ -16,7 +16,7 @@ fn usage() -> &'static str {
      \x20                     [--only t1,t2,...] [--dir DIR] [--trend]\n\
      \x20                     [--ledger DIR] [--counts]\n\
      \n\
-     Runs the full paper-experiment suite in-process (tracing forced on),\n\
+     Runs the full paper-experiment suite in-process (tracing on),\n\
      writes per-target summaries + trace journals under DIR, and renders\n\
      DIR/REPORT.md: every table/figure of DESIGN.md \u{a7}4 side-by-side\n\
      with the paper's number, a percent delta, and a tolerance band.\n\

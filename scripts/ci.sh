@@ -40,10 +40,18 @@ cargo test --release -p hawkeye-bench --test obs_determinism -q
 echo "==> workload-family determinism gate (1 vs 8 workers + ENVELOPES.md)"
 cargo test --release -p hawkeye-bench --test workload_families_determinism -q
 
-# Report-loader error paths: corrupt/truncated wallclock sidecars must
-# warn and render n/a (never zero-fill), and expected-but-missing
-# summary metrics must be listed per target for the exit-4 gate.
-echo "==> report-loader error-path tests"
+# Run isolation under HAWKEYE_TRACE: every bench target's run owns its
+# journals, registries and obs document, so the bench unit tests must
+# pass unchanged with tracing requested through the environment (the
+# variable only reaches bench binaries; tests pass tracing explicitly).
+echo "==> bench unit tests with HAWKEYE_TRACE=1 (no shared artifact state)"
+HAWKEYE_TRACE=1 cargo test -p hawkeye-bench --lib -q
+
+# Report-library tests: expected-but-missing summary metrics must be
+# listed per target for the exit-4 gate, the perf-trajectory ledger
+# must round-trip and reject corrupt entries, and WALLCLOCK.md renders
+# from in-memory run records.
+echo "==> report-library tests (missing metrics, ledger, wall-clock table)"
 cargo test -p hawkeye-report --lib -q
 
 # Event-skip efficiency gate: on a representative compute/stream
