@@ -5,8 +5,11 @@
 //! suite uses, so optimizations can be timed in isolation:
 //!
 //! ```text
-//! cargo run --release -p hawkeye-bench --example hotpath_prof [bare|scoped]
+//! cargo run --release -p hawkeye-bench --example hotpath_prof [bare|scoped|micro]
 //! ```
+//!
+//! `micro` times single components instead: page-table and MMU accesses,
+//! then one charge into each metric/trace sink path with scopes open.
 
 use hawkeye_bench::PolicyKind;
 use hawkeye_kernel::Simulator;
@@ -76,6 +79,56 @@ fn micro() {
         cyc = cyc.wrapping_add(mmu.access(1, *v, PageSize::Huge, false).cycles.get());
     }
     println!("mmu.access (huge): {:.1} ns/op ({cyc:x})", t0.elapsed().as_nanos() as f64 / N as f64);
+
+    sinks();
+}
+
+/// Times `N` calls of `op(i)` and prints the mean.
+fn per_op(label: &str, mut op: impl FnMut(u64)) {
+    const N: u64 = 10_000_000;
+    let t0 = Instant::now();
+    for i in 0..N {
+        op(std::hint::black_box(i));
+    }
+    println!("{label}: {:.1} ns/op", t0.elapsed().as_nanos() as f64 / N as f64);
+}
+
+/// Sink costs per charge with a registry scope and a trace scope open,
+/// as in a report run: the by-name add cold callers use, the three
+/// registry paths a fault takes (handle add, ledger charge, handle
+/// observe), and one journal emit into a ring that fills after its
+/// first 65,536 records.
+fn sinks() {
+    use hawkeye_metrics::{registry, MetricsSink, Subsystem};
+    use hawkeye_trace::{TraceEvent, TraceSink};
+
+    registry::scope::begin();
+    hawkeye_trace::scope::begin(hawkeye_trace::DEFAULT_CAPACITY);
+    let metrics = MetricsSink::attach_current();
+    let trace = TraceSink::attach_current();
+    per_op("metrics.add (by name)", |i| metrics.add("bench.by_name", i | 1));
+    let counter = metrics.counter("bench.handle");
+    per_op("metrics.add (handle)", |i| counter.add(i | 1));
+    per_op("metrics.charge_cpu (ledger slot)", |i| {
+        metrics.charge_cpu(Subsystem::Fault, Cycles::new(i | 1))
+    });
+    let hist = metrics.histogram("bench.hist");
+    per_op("metrics.observe (handle)", |i| hist.observe(i & 0xffff));
+    per_op("trace.emit (full ring)", |i| {
+        trace.emit(1, TraceEvent::Fault { vpn: i, huge: false, cow: false, cycles: 8119 })
+    });
+    let journal = hawkeye_trace::scope::end().expect("trace scope open");
+    let reg = registry::scope::end().expect("registry scope open");
+    let m = reg.machine(0).expect("sink attached");
+    println!(
+        "  (sums: {:x} {:x} {:x}, {} observed, {} journaled + {} dropped)",
+        m.counter("bench.by_name"),
+        m.counter("bench.handle"),
+        m.cpu_cycles(Subsystem::Fault),
+        m.hist("bench.hist").map_or(0, |h| h.count()),
+        journal.records.len(),
+        journal.dropped,
+    );
 }
 
 fn main() {

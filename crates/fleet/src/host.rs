@@ -111,8 +111,9 @@ pub struct Host {
 
 impl Host {
     /// Boots a host. A trace scope and a registry scope are opened for
-    /// the build and immediately detached, so the machine's sinks write
-    /// into buffers this `Host` owns — journals and registries per host,
+    /// the build and closed right after it (the trace buffer detached,
+    /// the registry scope cleared), so the machine's sinks write into
+    /// buffers this `Host` owns — journals and registries per host,
     /// independent of which worker thread later steps it.
     pub fn new(
         config: KernelConfig,
@@ -123,10 +124,10 @@ impl Host {
         registry::scope::begin();
         let sim = Simulator::new(config, policy);
         let trace = scope::detach();
-        // The registry stays alive through the machine's own sink; the
-        // detach only clears the thread-local so the next host (or a
-        // later bench scenario on this thread) starts clean.
-        drop(registry::scope::detach());
+        // The registry cells stay alive through the machine's own sink;
+        // clearing the thread-local only lets the next host (or a later
+        // bench scenario on this thread) start clean.
+        registry::scope::clear();
         Host {
             sim,
             trace,

@@ -22,7 +22,7 @@ use hawkeye_mem::{
     compact, AllocPref, Allocation, FrameKind, Order, OwnerTag, PageContent, Pfn, PhysMemory,
     HUGE_ORDER,
 };
-use hawkeye_metrics::{Cycles, MetricsSink, Recorder, SimClock, Subsystem, UNHALTED};
+use hawkeye_metrics::{Cycles, Histogram, MetricsSink, Recorder, SimClock, Subsystem};
 use hawkeye_mem::fmfi::fmfi;
 use hawkeye_tlb::Mmu;
 use hawkeye_trace::{TraceEvent, TraceSink};
@@ -118,6 +118,10 @@ pub struct Machine {
     recorder: Recorder,
     trace: TraceSink,
     metrics: MetricsSink,
+    /// The registry's `fault_cycles` and `promote_cycles` histograms,
+    /// resolved once at boot so the fault path observes without a lookup.
+    fault_cycles: Histogram,
+    promote_cycles: Histogram,
     /// Multi-core access-plan recorder; `None` at `cores = 1`, where the
     /// machine is exactly the serial engine (no recording, no overhead).
     conc: Option<ConcRecorder>,
@@ -160,6 +164,8 @@ impl Machine {
             stats: KernelStats::default(),
             recorder: Recorder::new(),
             trace,
+            fault_cycles: metrics.histogram("fault_cycles"),
+            promote_cycles: metrics.histogram("promote_cycles"),
             metrics,
             conc,
         }
@@ -214,7 +220,13 @@ impl Machine {
     /// subsystem — keeping `Σ cycles.cpu.* == cycles.unhalted` exact.
     pub fn record_unhalted(&mut self, pid: u32, spent: Cycles) {
         self.mmu.record_unhalted(pid, spent);
-        self.metrics.add(UNHALTED, spent.get());
+        self.metrics.charge_unhalted(spent);
+    }
+
+    /// Records one page fault's service cycles in the registry's
+    /// `fault_cycles` histogram (the simulator calls this per fault).
+    pub(crate) fn observe_fault(&self, cost: Cycles) {
+        self.fault_cycles.observe(cost.get());
     }
 
     /// Physical memory state.
@@ -537,7 +549,7 @@ impl Machine {
         let copy_cost = self.config.costs.copy_4k * copied as u64;
         self.charge_daemon(Subsystem::Copy, copy_cost);
         self.charge_daemon(Subsystem::Zero, cost - copy_cost);
-        self.metrics.observe("promote_cycles", cost.get());
+        self.promote_cycles.observe(cost.get());
         self.trace.emit(
             pid,
             TraceEvent::Promote { hvpn: hvpn.0, copied, filled, cycles: cost.get() },
@@ -598,7 +610,7 @@ impl Machine {
         // Promotion work rides under `copy` even when nothing is copied,
         // keeping all promotion cycles in one report column.
         self.charge_daemon(Subsystem::Copy, cost);
-        self.metrics.observe("promote_cycles", cost.get());
+        self.promote_cycles.observe(cost.get());
         self.trace.emit(
             pid,
             TraceEvent::Promote { hvpn: hvpn.0, copied: 0, filled: 0, cycles: cost.get() },

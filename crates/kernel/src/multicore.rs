@@ -370,8 +370,8 @@ impl ConcRecorder {
             );
         }
         metrics.add("lock.daemon_stall_cycles", daemon_stall);
-        metrics.merge_hist("lock.retry_spins", &retry_hist);
-        metrics.merge_hist("lock.hold_cycles", &hold_hist);
+        metrics.histogram("lock.retry_spins").merge(&retry_hist);
+        metrics.histogram("lock.hold_cycles").merge(&hold_hist);
         out
     }
 }

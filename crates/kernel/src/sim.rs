@@ -826,7 +826,7 @@ impl Simulator {
             let st = p.stats_mut();
             st.faults += 1;
             st.fault_cycles += fault_cost;
-            self.machine.metrics().observe("fault_cycles", fault_cost.get());
+            self.machine.observe_fault(fault_cost);
             self.machine.trace().emit(
                 pid,
                 TraceEvent::Fault {

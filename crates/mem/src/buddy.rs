@@ -15,7 +15,7 @@ use crate::content::PageContent;
 use crate::error::AllocError;
 use crate::frame::{Frame, FrameState, NOT_FREE_HEAD, NO_LINK};
 use crate::types::{Order, Pfn, MAX_ORDER};
-use hawkeye_metrics::MetricsSink;
+use hawkeye_metrics::{Counter, MetricsSink};
 use hawkeye_trace::{TraceEvent, TraceSink};
 
 const NORDERS: usize = MAX_ORDER.0 as usize + 1;
@@ -86,9 +86,18 @@ pub struct PhysMemory {
     cross_merge: bool,
     /// Event journal handle; disabled (no-op) unless a trace scope attaches.
     trace: TraceSink,
-    /// Cycle-attribution handle; disabled (no-op) unless a registry scope
-    /// attaches.
-    metrics: MetricsSink,
+    /// Registry counters, resolved once from the machine's sink; no-ops
+    /// unless a registry scope attaches.
+    counters: MemCounters,
+}
+
+/// The allocator's registry counter handles (see
+/// [`PhysMemory::set_metrics_sink`]).
+#[derive(Debug, Clone, Default)]
+struct MemCounters {
+    zeroed_alloc_hits: Counter,
+    zeroed_alloc_misses: Counter,
+    prezeroed_pages: Counter,
 }
 
 impl PhysMemory {
@@ -128,7 +137,7 @@ impl PhysMemory {
             zeroed_free_pages: 0,
             cross_merge,
             trace: TraceSink::default(),
-            metrics: MetricsSink::default(),
+            counters: MemCounters::default(),
         };
         let mut pfn = 0;
         while pfn < total_frames {
@@ -150,10 +159,16 @@ impl PhysMemory {
         &self.trace
     }
 
-    /// Install the cycle-attribution sink used by the pre-zeroing step.
-    /// The default sink is disabled (every charge is a no-op).
+    /// Install the cycle-attribution sink, resolving the allocator's
+    /// `mem.zeroed_alloc_{hits,misses}` and `mem.prezeroed_pages`
+    /// counters once so the allocation path charges them without a
+    /// lookup. Until called, every charge is a no-op.
     pub fn set_metrics_sink(&mut self, metrics: MetricsSink) {
-        self.metrics = metrics;
+        self.counters = MemCounters {
+            zeroed_alloc_hits: metrics.counter("mem.zeroed_alloc_hits"),
+            zeroed_alloc_misses: metrics.counter("mem.zeroed_alloc_misses"),
+            prezeroed_pages: metrics.counter("mem.prezeroed_pages"),
+        };
     }
 
     /// Total number of frames.
@@ -243,9 +258,9 @@ impl PhysMemory {
         // (the paper's §3.1 win) vs. forcing synchronous zeroing.
         if pref == AllocPref::Zeroed {
             if was_zeroed {
-                self.metrics.add("mem.zeroed_alloc_hits", order.pages());
+                self.counters.zeroed_alloc_hits.add(order.pages());
             } else {
-                self.metrics.add("mem.zeroed_alloc_misses", order.pages());
+                self.counters.zeroed_alloc_misses.add(order.pages());
             }
         }
         Ok(Allocation { pfn, order, was_zeroed })
@@ -318,7 +333,7 @@ impl PhysMemory {
         }
         if zeroed > 0 {
             self.trace.emit(0, TraceEvent::PreZero { pages: zeroed });
-            self.metrics.add("mem.prezeroed_pages", zeroed);
+            self.counters.prezeroed_pages.add(zeroed);
         }
         zeroed
     }

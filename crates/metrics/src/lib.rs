@@ -34,7 +34,9 @@ pub mod stats;
 pub mod table;
 pub mod time;
 
-pub use registry::{LogHistogram, MachineMetrics, MetricsSink, Registry, Subsystem, UNHALTED};
+pub use registry::{
+    Counter, Histogram, LogHistogram, MachineMetrics, MetricsSink, Registry, Subsystem, UNHALTED,
+};
 pub use sketch::QuantileSketch;
 pub use series::{Recorder, Reduce, Sample, TimeSeries};
 pub use stats::Summary;

@@ -18,16 +18,29 @@
 //! [`scope::end`] after; machines created inside the scope attach via
 //! [`MetricsSink::attach_current`] and get per-scope machine ids in
 //! creation order, keeping snapshots deterministic at any worker count.
+//!
+//! Storage is lock-free where it is hot. Each attached machine owns one
+//! set of cells: fixed atomic slots for both ledgers (indexed by
+//! [`Subsystem`]) and for [`UNHALTED`], plus named counter and histogram
+//! cells that emit sites resolve once into [`Counter`] / [`Histogram`]
+//! handles. A charge is a relaxed atomic add — no lock, no name lookup.
+//! By-name calls find or register the same cells under a per-machine
+//! lock, and gauges live under that lock. Readers ([`MetricsSink::snapshot`],
+//! [`scope::end`]) fold the cells into a [`MachineMetrics`] in name order,
+//! keeping only nonzero counters and observed histograms, which is
+//! exactly what a map charged one call at a time would hold.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::time::Cycles;
 
 /// Counter name for `CPU_CLK_UNHALTED`: every cycle a process executes,
-/// recorded once per scheduler quantum. The per-subsystem CPU ledger
-/// ([`Subsystem::cpu_key`]) must sum exactly to this counter.
+/// recorded once per scheduler quantum ([`MetricsSink::charge_unhalted`]).
+/// The per-subsystem CPU ledger ([`Subsystem::cpu_key`]) must sum exactly
+/// to this counter.
 pub const UNHALTED: &str = "cycles.unhalted";
 
 /// Where a simulated cycle went. One tag per charge to the clock.
@@ -88,7 +101,8 @@ impl Subsystem {
         }
     }
 
-    /// CPU-ledger counter name (`cycles.cpu.<tag>`).
+    /// CPU-ledger counter name (`cycles.cpu.<tag>`): the name the
+    /// ledger slot charged by [`MetricsSink::charge_cpu`] takes on read.
     pub fn cpu_key(self) -> &'static str {
         match self {
             Subsystem::Walk => "cycles.cpu.walk",
@@ -102,7 +116,8 @@ impl Subsystem {
         }
     }
 
-    /// Daemon-ledger counter name (`cycles.daemon.<tag>`).
+    /// Daemon-ledger counter name (`cycles.daemon.<tag>`): the name the
+    /// ledger slot charged by [`MetricsSink::charge_daemon`] takes on read.
     pub fn daemon_key(self) -> &'static str {
         match self {
             Subsystem::Walk => "cycles.daemon.walk",
@@ -233,24 +248,6 @@ impl MachineMetrics {
         *self.counters.entry(name).or_insert(0) += v;
     }
 
-    /// Sets gauge `name` to its latest value.
-    pub fn set_gauge(&mut self, name: &'static str, v: f64) {
-        self.gauges.insert(name, v);
-    }
-
-    /// Records one observation into histogram `name`.
-    pub fn observe(&mut self, name: &'static str, v: u64) {
-        self.hists.entry(name).or_default().observe(v);
-    }
-
-    /// Merges a locally-accumulated histogram into histogram `name`.
-    /// Equivalent to observing every value in `h` individually — the
-    /// bucket counts, count, sum, min and max are all additive — so hot
-    /// paths can batch observations outside the registry lock.
-    pub fn merge_hist(&mut self, name: &'static str, h: &LogHistogram) {
-        self.hists.entry(name).or_default().merge(h);
-    }
-
     /// Counter value (0 if never written).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -320,20 +317,12 @@ impl MachineMetrics {
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     machines: BTreeMap<u32, MachineMetrics>,
-    next_machine: u32,
 }
 
 impl Registry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn next_machine_id(&mut self) -> u32 {
-        let id = self.next_machine;
-        self.next_machine += 1;
-        self.machines.entry(id).or_default();
-        id
     }
 
     /// Metrics of machine `id`, if it attached.
@@ -365,12 +354,182 @@ impl Registry {
     }
 }
 
+/// A [`LogHistogram`] in atomic cells. `count` is not stored: it is the
+/// sum of the bucket counts, so an observation costs one fewer add.
+#[derive(Debug)]
+struct HistCell {
+    counts: [AtomicU64; 65],
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
+}
+
+impl Default for HistCell {
+    fn default() -> Self {
+        HistCell {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+        }
+    }
+}
+
+impl HistCell {
+    fn add_sum(&self, v: u64) {
+        // Saturating, like `LogHistogram`: an add that wraps pins the sum.
+        if self.sum.fetch_add(v, Relaxed).checked_add(v).is_none() {
+            self.sum.store(u64::MAX, Relaxed);
+        }
+    }
+
+    fn bound(&self, min: u64, max: u64) {
+        // Loads first: the extremes rarely move, and a plain load is far
+        // cheaper than the compare-exchange loop behind `fetch_min`.
+        if min < self.min.load(Relaxed) {
+            self.min.fetch_min(min, Relaxed);
+        }
+        if max > self.max.load(Relaxed) {
+            self.max.fetch_max(max, Relaxed);
+        }
+    }
+
+    fn observe(&self, v: u64) {
+        self.counts[LogHistogram::bucket(v)].fetch_add(1, Relaxed);
+        self.add_sum(v);
+        self.bound(v, v);
+    }
+
+    fn merge(&self, h: &LogHistogram) {
+        for (cell, &c) in self.counts.iter().zip(h.counts.iter()) {
+            if c > 0 {
+                cell.fetch_add(c, Relaxed);
+            }
+        }
+        self.add_sum(h.sum);
+        self.bound(h.min, h.max);
+    }
+
+    /// The histogram these cells hold, or `None` before any observation.
+    fn load(&self) -> Option<LogHistogram> {
+        let mut h = LogHistogram::new();
+        for (c, cell) in h.counts.iter_mut().zip(self.counts.iter()) {
+            *c = cell.load(Relaxed);
+        }
+        h.count = h.counts.iter().sum();
+        if h.count == 0 {
+            return None;
+        }
+        h.sum = self.sum.load(Relaxed);
+        h.min = self.min.load(Relaxed);
+        h.max = self.max.load(Relaxed);
+        Some(h)
+    }
+}
+
+/// Named cells of one machine, registered on first use.
+#[derive(Debug, Default)]
+struct Named {
+    counters: BTreeMap<&'static str, Arc<AtomicU64>>,
+    hists: BTreeMap<&'static str, Arc<HistCell>>,
+    gauges: BTreeMap<&'static str, f64>,
+}
+
+/// One machine's live metric storage, shared by every clone of its sink.
+#[derive(Debug, Default)]
+struct Cells {
+    cpu: [AtomicU64; 8],
+    daemon: [AtomicU64; 8],
+    unhalted: AtomicU64,
+    named: Mutex<Named>,
+}
+
+impl Cells {
+    fn named(&self) -> MutexGuard<'_, Named> {
+        // Every update leaves the maps consistent, so a panic elsewhere
+        // while the lock was held cannot corrupt them.
+        self.named.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Folds the cells into the map a one-call-at-a-time registry would
+    /// hold: counters present iff nonzero, histograms iff observed. Ledger
+    /// slots take their `cycles.*` names here and nowhere else; a by-name
+    /// charge to the same name merges into the same entry.
+    fn fold(&self) -> MachineMetrics {
+        let mut m = MachineMetrics::default();
+        let mut add = |name: &'static str, v: u64| {
+            if v != 0 {
+                m.add(name, v);
+            }
+        };
+        for s in Subsystem::ALL {
+            add(s.cpu_key(), self.cpu[s as usize].load(Relaxed));
+            add(s.daemon_key(), self.daemon[s as usize].load(Relaxed));
+        }
+        add(UNHALTED, self.unhalted.load(Relaxed));
+        let named = self.named();
+        for (&name, c) in &named.counters {
+            add(name, c.load(Relaxed));
+        }
+        m.gauges = named.gauges.clone();
+        m.hists = named.hists.iter().filter_map(|(&k, h)| Some((k, h.load()?))).collect();
+        m
+    }
+}
+
+/// Pre-resolved handle to one named counter of one machine
+/// ([`MetricsSink::counter`]). An add is one relaxed atomic add; the
+/// handle of a disabled sink is a no-op.
+#[derive(Debug, Clone, Default)]
+pub struct Counter(Option<Arc<AtomicU64>>);
+
+impl Counter {
+    /// Adds `v`. No-op when disabled or `v == 0`.
+    #[inline]
+    pub fn add(&self, v: u64) {
+        if let Some(c) = &self.0 {
+            if v != 0 {
+                c.fetch_add(v, Relaxed);
+            }
+        }
+    }
+}
+
+/// Pre-resolved handle to one named histogram of one machine
+/// ([`MetricsSink::histogram`]). The handle of a disabled sink is a no-op.
+#[derive(Debug, Clone, Default)]
+pub struct Histogram(Option<Arc<HistCell>>);
+
+impl Histogram {
+    /// Records one observation. No-op when disabled.
+    #[inline]
+    pub fn observe(&self, v: u64) {
+        if let Some(h) = &self.0 {
+            h.observe(v);
+        }
+    }
+
+    /// Merges a locally-accumulated batch of observations. Equivalent to
+    /// observing every value in `h` individually — the bucket counts,
+    /// count, sum, min and max are all additive — so hot paths can batch
+    /// observations and publish them once. No-op when disabled or `h` is
+    /// empty.
+    #[inline]
+    pub fn merge(&self, h: &LogHistogram) {
+        if let Some(cell) = &self.0 {
+            if h.count() > 0 {
+                cell.merge(h);
+            }
+        }
+    }
+}
+
 /// Cheap cloneable charge handle. Disabled sinks (the default) are a
 /// no-op: every method early-returns on one branch, so instrumented code
 /// runs identically whether or not a registry scope is active.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSink {
-    shared: Option<Arc<Mutex<Registry>>>,
+    cells: Option<Arc<Cells>>,
     machine: u32,
 }
 
@@ -384,14 +543,8 @@ impl MetricsSink {
     /// claiming the next machine id in that scope. Returns a disabled
     /// sink otherwise.
     pub fn attach_current() -> Self {
-        match scope::current() {
-            Some(shared) => {
-                let machine = match shared.lock() {
-                    Ok(mut reg) => reg.next_machine_id(),
-                    Err(_) => return MetricsSink::disabled(),
-                };
-                MetricsSink { shared: Some(shared), machine }
-            }
+        match scope::attach() {
+            Some((machine, cells)) => MetricsSink { cells: Some(cells), machine },
             None => MetricsSink::disabled(),
         }
     }
@@ -399,7 +552,7 @@ impl MetricsSink {
     /// True when charges reach a registry.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.shared.is_some()
+        self.cells.is_some()
     }
 
     /// This sink's per-scope machine id (0 when disabled). Matches the
@@ -408,108 +561,108 @@ impl MetricsSink {
         self.machine
     }
 
-    fn with(&self, f: impl FnOnce(&mut MachineMetrics)) {
-        let Some(shared) = &self.shared else { return };
-        if let Ok(mut reg) = shared.lock() {
-            f(reg.machines.entry(self.machine).or_default());
-        }
+    /// The handle of counter `name`, registering it on first use (it
+    /// stays out of every read until something nonzero is added).
+    pub fn counter(&self, name: &'static str) -> Counter {
+        Counter(self.cells.as_ref().map(|c| Arc::clone(c.named().counters.entry(name).or_default())))
+    }
+
+    /// The handle of histogram `name`, registering it on first use (it
+    /// stays out of every read until its first observation).
+    pub fn histogram(&self, name: &'static str) -> Histogram {
+        Histogram(self.cells.as_ref().map(|c| Arc::clone(c.named().hists.entry(name).or_default())))
     }
 
     /// Adds `v` to counter `name`. No-op when disabled or `v == 0`.
-    #[inline]
+    /// Hot paths hold a [`Counter`] instead.
     pub fn add(&self, name: &'static str, v: u64) {
-        if self.shared.is_none() || v == 0 {
-            return;
+        if let Some(c) = &self.cells {
+            if v != 0 {
+                c.named().counters.entry(name).or_default().fetch_add(v, Relaxed);
+            }
         }
-        self.with(|m| m.add(name, v));
     }
 
     /// Sets gauge `name`. No-op when disabled.
-    #[inline]
     pub fn set_gauge(&self, name: &'static str, v: f64) {
-        if self.shared.is_none() {
-            return;
+        if let Some(c) = &self.cells {
+            c.named().gauges.insert(name, v);
         }
-        self.with(|m| m.set_gauge(name, v));
-    }
-
-    /// Records one histogram observation. No-op when disabled.
-    #[inline]
-    pub fn observe(&self, name: &'static str, v: u64) {
-        if self.shared.is_none() {
-            return;
-        }
-        self.with(|m| m.observe(name, v));
-    }
-
-    /// Merges a batch of observations (see [`MachineMetrics::merge_hist`]).
-    /// No-op when disabled or `h` is empty.
-    #[inline]
-    pub fn merge_hist(&self, name: &'static str, h: &LogHistogram) {
-        if self.shared.is_none() || h.count() == 0 {
-            return;
-        }
-        self.with(|m| m.merge_hist(name, h));
     }
 
     /// Charges `c` cycles to the CPU ledger under `sub`. No-op when
     /// disabled or `c` is zero.
     #[inline]
     pub fn charge_cpu(&self, sub: Subsystem, c: Cycles) {
-        self.add(sub.cpu_key(), c.get());
+        if let Some(cells) = &self.cells {
+            if c.get() != 0 {
+                cells.cpu[sub as usize].fetch_add(c.get(), Relaxed);
+            }
+        }
     }
 
     /// Charges `c` cycles to the daemon ledger under `sub`. No-op when
     /// disabled or `c` is zero.
     #[inline]
     pub fn charge_daemon(&self, sub: Subsystem, c: Cycles) {
-        self.add(sub.daemon_key(), c.get());
+        if let Some(cells) = &self.cells {
+            if c.get() != 0 {
+                cells.daemon[sub as usize].fetch_add(c.get(), Relaxed);
+            }
+        }
+    }
+
+    /// Adds `c` executed cycles to the [`UNHALTED`] counter. No-op when
+    /// disabled or `c` is zero.
+    #[inline]
+    pub fn charge_unhalted(&self, c: Cycles) {
+        if let Some(cells) = &self.cells {
+            if c.get() != 0 {
+                cells.unhalted.fetch_add(c.get(), Relaxed);
+            }
+        }
     }
 
     /// A copy of this machine's metrics (None when disabled) — the
     /// `CycleSample` trace event reads its payload from here.
     pub fn snapshot(&self) -> Option<MachineMetrics> {
-        let shared = self.shared.as_ref()?;
-        let reg = shared.lock().ok()?;
-        Some(reg.machines.get(&self.machine).cloned().unwrap_or_default())
+        self.cells.as_ref().map(|c| c.fold())
     }
 }
 
 /// Per-thread registry scopes, mirroring `hawkeye_trace::scope`. A scope
-/// owns the registry that sinks created on this thread (between `begin`
-/// and `end`) charge into.
+/// holds the cells of every machine whose sink attached on this thread
+/// between `begin` and `end`.
 pub mod scope {
-    use super::{Arc, Mutex, RefCell, Registry};
+    use super::{Arc, Cells, RefCell, Registry};
 
     thread_local! {
-        static CURRENT: RefCell<Option<Arc<Mutex<Registry>>>> =
-            const { RefCell::new(None) };
+        static CURRENT: RefCell<Option<Vec<Arc<Cells>>>> = const { RefCell::new(None) };
     }
 
     /// Open a registry scope on this thread. Replaces any previous scope
     /// (its registry is discarded).
     pub fn begin() {
-        CURRENT.with(|c| {
-            *c.borrow_mut() = Some(Arc::new(Mutex::new(Registry::new())));
-        });
+        CURRENT.with(|c| *c.borrow_mut() = Some(Vec::new()));
     }
 
-    /// Close this thread's scope, returning its registry. Sinks still
-    /// holding the registry keep writing into a drained one, harmlessly.
+    /// Close this thread's scope, returning its registry folded from
+    /// every attached machine's cells. Sinks and handles still holding
+    /// those cells keep writing into them, harmlessly: nothing reads
+    /// them again.
     pub fn end() -> Option<Registry> {
-        let shared = CURRENT.with(|c| c.borrow_mut().take())?;
-        let mut reg = shared.lock().ok()?;
-        Some(std::mem::take(&mut *reg))
+        let machines = CURRENT.with(|c| c.borrow_mut().take())?;
+        let machines = (0u32..).zip(machines.iter().map(|c| c.fold())).collect();
+        Some(Registry { machines })
     }
 
-    /// Detach this thread's scope *without* draining it: the shared
-    /// registry is returned and sinks already attached to it keep
-    /// charging into it. Long-lived owners (the fleet orchestrator) use
-    /// this to keep a machine's registry alive beyond the `begin`/`end`
-    /// bracket of its creating thread; reading happens later through the
-    /// sink's `snapshot` or the returned handle.
-    pub fn detach() -> Option<Arc<Mutex<Registry>>> {
-        CURRENT.with(|c| c.borrow_mut().take())
+    /// Close this thread's scope without reading it. Sinks already
+    /// attached keep their machine's cells and stay readable through
+    /// [`super::MetricsSink::snapshot`]; long-lived owners (the fleet
+    /// orchestrator) use this so a machine's metrics outlive the
+    /// `begin` bracket of the thread that created it.
+    pub fn clear() {
+        CURRENT.with(|c| c.borrow_mut().take());
     }
 
     /// True when a scope is open on this thread.
@@ -517,8 +670,16 @@ pub mod scope {
         CURRENT.with(|c| c.borrow().is_some())
     }
 
-    pub(super) fn current() -> Option<Arc<Mutex<Registry>>> {
-        CURRENT.with(|c| c.borrow().clone())
+    /// Registers a new machine in this thread's scope, returning its id
+    /// and cells (None when no scope is open).
+    pub(super) fn attach() -> Option<(u32, Arc<Cells>)> {
+        CURRENT.with(|c| {
+            let mut c = c.borrow_mut();
+            let machines = c.as_mut()?;
+            let cells = Arc::new(Cells::default());
+            machines.push(Arc::clone(&cells));
+            Some((machines.len() as u32 - 1, cells))
+        })
     }
 }
 
@@ -595,7 +756,7 @@ mod tests {
         assert!(!sink.is_enabled());
         sink.add("x", 5);
         sink.set_gauge("g", 1.0);
-        sink.observe("h", 7);
+        sink.histogram("h").observe(7);
         sink.charge_cpu(Subsystem::Walk, Cycles::new(100));
         assert!(sink.snapshot().is_none());
     }
@@ -618,8 +779,8 @@ mod tests {
         assert_eq!(b.machine_id(), 1);
         a.charge_cpu(Subsystem::Walk, Cycles::new(300));
         a.charge_cpu(Subsystem::Idle, Cycles::new(700));
-        a.add(UNHALTED, 1000);
-        a.observe("fault_cycles", 42);
+        a.charge_unhalted(Cycles::new(1000));
+        a.histogram("fault_cycles").observe(42);
         b.charge_daemon(Subsystem::Zero, Cycles::new(55));
         b.set_gauge("mem.utilization", 0.5);
         let reg = scope::end().expect("registry");
@@ -644,9 +805,132 @@ mod tests {
         scope::begin();
         let sink = MetricsSink::attach_current();
         sink.charge_cpu(Subsystem::Walk, Cycles::ZERO);
+        sink.charge_daemon(Subsystem::Zero, Cycles::ZERO);
+        sink.charge_unhalted(Cycles::ZERO);
         sink.add("nothing", 0);
+        sink.counter("handle.zero").add(0);
+        let _unused = sink.counter("handle.unused");
+        let _unobserved = sink.histogram("hist.unobserved");
+        sink.histogram("hist.empty_merge").merge(&LogHistogram::new());
+        assert_eq!(sink.snapshot().expect("enabled").counters().count(), 0);
         let reg = scope::end().expect("registry");
         let m = reg.machine(0).expect("attached");
         assert_eq!(m.counters().count(), 0, "zero charges must leave no trace");
+        assert_eq!(m.hists().count(), 0, "unobserved histograms must leave no trace");
+        assert_eq!(m.gauges().count(), 0);
+    }
+
+    #[test]
+    fn handle_and_by_name_charges_merge_into_one_entry() {
+        scope::begin();
+        let sink = MetricsSink::attach_current();
+        sink.counter("mem.zeroed_alloc_hits").add(3);
+        sink.add("mem.zeroed_alloc_hits", 4);
+        sink.histogram("fault_cycles").observe(10);
+        sink.histogram("fault_cycles").observe(1000);
+        let mut batch = LogHistogram::new();
+        batch.observe(0);
+        sink.histogram("fault_cycles").merge(&batch);
+        // A ledger slot and a by-name charge to its key fold together.
+        sink.charge_cpu(Subsystem::Fault, Cycles::new(5));
+        sink.add(Subsystem::Fault.cpu_key(), 6);
+        sink.charge_unhalted(Cycles::new(7));
+        sink.add(UNHALTED, 4);
+        let reg = scope::end().expect("registry");
+        let m = reg.machine(0).expect("attached");
+        assert_eq!(m.counter("mem.zeroed_alloc_hits"), 7);
+        assert_eq!(m.counters().filter(|(k, _)| *k == "mem.zeroed_alloc_hits").count(), 1);
+        let h = m.hist("fault_cycles").expect("observed");
+        assert_eq!((h.count(), h.sum(), h.min(), h.max()), (3, 1010, 0, 1000));
+        let mut expect = LogHistogram::new();
+        for v in [10, 1000, 0] {
+            expect.observe(v);
+        }
+        assert_eq!(*h, expect, "cells fold to the histogram direct observation builds");
+        assert_eq!(m.cpu_cycles(Subsystem::Fault), 11);
+        assert_eq!(m.unhalted(), 11);
+        assert_eq!(m.residue(), 0);
+    }
+
+    #[test]
+    fn handles_from_clones_of_one_sink_add_up() {
+        scope::begin();
+        let a = MetricsSink::attach_current();
+        let b = a.clone();
+        let other = MetricsSink::attach_current();
+        a.counter("c").add(2);
+        b.counter("c").add(5);
+        a.histogram("h").observe(8);
+        b.histogram("h").observe(2);
+        a.charge_daemon(Subsystem::Scan, Cycles::new(1));
+        b.charge_daemon(Subsystem::Scan, Cycles::new(2));
+        other.counter("c").add(100);
+        let reg = scope::end().expect("registry");
+        let m = reg.machine(0).expect("machine 0");
+        assert_eq!(m.counter("c"), 7);
+        assert_eq!(m.hist("h").map(|h| (h.count(), h.sum())), Some((2, 10)));
+        assert_eq!(m.daemon_cycles(Subsystem::Scan), 3);
+        assert_eq!(reg.machine(1).expect("machine 1").counter("c"), 100);
+    }
+
+    #[test]
+    fn snapshot_mid_scope_includes_handle_charges() {
+        scope::begin();
+        let sink = MetricsSink::attach_current();
+        let hits = sink.counter("mem.zeroed_alloc_hits");
+        let faults = sink.histogram("fault_cycles");
+        hits.add(9);
+        faults.observe(40);
+        sink.charge_cpu(Subsystem::Zero, Cycles::new(30));
+        sink.charge_unhalted(Cycles::new(30));
+        sink.set_gauge("mem.utilization", 0.25);
+        let snap = sink.snapshot().expect("enabled");
+        assert_eq!(snap.counter("mem.zeroed_alloc_hits"), 9);
+        assert_eq!(snap.hist("fault_cycles").map(LogHistogram::count), Some(1));
+        assert_eq!(snap.cpu_cycles(Subsystem::Zero), 30);
+        assert_eq!(snap.residue(), 0);
+        assert_eq!(snap.gauge("mem.utilization"), Some(0.25));
+        // Charges after the snapshot reach the closed scope, not the copy.
+        hits.add(1);
+        let reg = scope::end().expect("registry");
+        assert_eq!(reg.machine(0).expect("attached").counter("mem.zeroed_alloc_hits"), 10);
+        assert_eq!(snap.counter("mem.zeroed_alloc_hits"), 9);
+    }
+
+    #[test]
+    fn stale_handles_after_scope_end_do_no_harm() {
+        scope::begin();
+        let sink = MetricsSink::attach_current();
+        let c = sink.counter("c");
+        let h = sink.histogram("h");
+        c.add(1);
+        let reg = scope::end().expect("registry");
+        c.add(1);
+        h.observe(3);
+        sink.charge_cpu(Subsystem::Walk, Cycles::new(4));
+        assert_eq!(reg.machine(0).expect("attached").counter("c"), 1);
+        assert!(reg.machine(0).expect("attached").hist("h").is_none());
+        // A fresh scope starts from nothing: stale cells never leak in.
+        scope::begin();
+        let fresh = MetricsSink::attach_current();
+        assert_eq!(fresh.machine_id(), 0);
+        let reg = scope::end().expect("registry");
+        assert_eq!(reg.machine(0).expect("attached").counters().count(), 0);
+        // Disabled handles are no-ops too.
+        Counter::default().add(5);
+        Histogram::default().observe(5);
+        assert!(MetricsSink::disabled().counter("c").0.is_none());
+    }
+
+    #[test]
+    fn cleared_scope_keeps_attached_sinks_readable() {
+        scope::begin();
+        let sink = MetricsSink::attach_current();
+        scope::clear();
+        assert!(!scope::active());
+        assert!(scope::end().is_none(), "clear closes the scope");
+        sink.counter("steer.decisions").add(2);
+        let snap = sink.snapshot().expect("cells outlive the scope");
+        assert_eq!(snap.counter("steer.decisions"), 2);
     }
 }

@@ -9,7 +9,7 @@
 //! HawkEye-PMU samples a *window* (recent overhead) rather than lifetime
 //! totals, so counters support snapshot-and-reset windows.
 
-use hawkeye_metrics::{Cycles, LogHistogram, MetricsSink};
+use hawkeye_metrics::{Cycles, Histogram, LogHistogram, MetricsSink};
 use hawkeye_trace::{TraceEvent, TraceSink};
 
 /// One process's counter set.
@@ -80,12 +80,13 @@ pub struct Pmu {
     window: Vec<(u32, Counters)>,
     /// Event journal handle; disabled (no-op) unless a trace scope attaches.
     trace: TraceSink,
-    /// Cycle-attribution handle; feeds the per-walk duration histogram.
-    metrics: MetricsSink,
+    /// The registry's `walk_cycles` histogram (no-op unless a registry
+    /// scope attaches).
+    walk_cycles: Histogram,
     /// Walk durations accumulated since the last [`Pmu::flush_metrics`].
-    /// Observing into the shared registry costs a lock and two map
-    /// lookups per walk — far too much for the per-touch path — so walks
-    /// land here and merge into `walk_cycles` once per quantum. Merging
+    /// Even a lock-free registry observation costs a few atomic adds per
+    /// walk — too much for the per-touch path — so walks land here and
+    /// merge into `walk_cycles` once per quantum. Merging
     /// is exactly equivalent to per-walk observation (all histogram state
     /// is additive), so registry readers see identical values.
     pending_walks: LogHistogram,
@@ -127,7 +128,7 @@ impl Pmu {
     /// Install the cycle-attribution sink feeding the `walk_cycles`
     /// per-walk duration histogram.
     pub fn set_metrics_sink(&mut self, metrics: MetricsSink) {
-        self.metrics = metrics;
+        self.walk_cycles = metrics.histogram("walk_cycles");
     }
 
     /// Charges a page-walk duration to `pid` (`store` selects the store
@@ -151,7 +152,7 @@ impl Pmu {
     /// have produced.
     pub fn flush_metrics(&mut self) {
         if self.pending_walks.count() > 0 {
-            self.metrics.merge_hist("walk_cycles", &self.pending_walks);
+            self.walk_cycles.merge(&self.pending_walks);
             self.pending_walks = LogHistogram::new();
         }
     }

@@ -116,6 +116,14 @@ HAWKEYE_TRACE=1 cargo bench -p hawkeye-bench --bench table1_fault_latency
 cargo run --release -q -p hawkeye-analyze -- --check \
     "$results_dir/table1_fault_latency.trace.json"
 
+# Golden registry fixture: a dirtied alloc-touch run under Linux-4KB and
+# HawkEye-G, its registry rendered as text in name order (counters,
+# gauges, histogram count/sum/min/max/p50/p99), must equal the committed
+# fixture byte for byte, and so must the mid-scope snapshot. Pins the
+# registry's output across changes to how it stores charges.
+echo "==> golden registry fixture (crates/bench/tests/fixtures/registry_golden.txt)"
+cargo test -p hawkeye-bench --test registry_golden -q
+
 # Touch-throughput smoke: --quick scales the run down to 1 M touches per
 # shape and asserts each finishes inside a 30 s budget, so a fast-path
 # regression (e.g. the streak batcher silently falling back to the
