@@ -95,11 +95,14 @@ fn per_op(label: &str, mut op: impl FnMut(u64)) {
 
 /// Sink costs per charge with a registry scope and a trace scope open,
 /// as in a report run: the by-name add cold callers use, the three
-/// registry paths a fault takes (handle add, ledger charge, handle
-/// observe), and one journal emit into a ring that fills after its
-/// first 65,536 records.
+/// registry paths a fault could take (handle add, ledger charge, handle
+/// observe), the whole set of charges one synchronously-zeroed base
+/// fault makes — published per fault, and batched the way `Machine` and
+/// `PhysMemory` batch them, with one flush per 390 faults (a
+/// `fault_trace` quantum's worth) — and one journal emit into a ring that
+/// fills after its first 65,536 records.
 fn sinks() {
-    use hawkeye_metrics::{registry, MetricsSink, Subsystem};
+    use hawkeye_metrics::{registry, LogHistogram, MetricsSink, Subsystem};
     use hawkeye_trace::{TraceEvent, TraceSink};
 
     registry::scope::begin();
@@ -114,6 +117,27 @@ fn sinks() {
     });
     let hist = metrics.histogram("bench.hist");
     per_op("metrics.observe (handle)", |i| hist.observe(i & 0xffff));
+    let misses = metrics.counter("bench.misses");
+    let fault_cycles = metrics.histogram("bench.fault_cycles");
+    per_op("fault charge set, per fault", |i| {
+        metrics.charge_cpu(Subsystem::Fault, Cycles::new(3000 + (i & 0xff)));
+        metrics.charge_cpu(Subsystem::Zero, Cycles::new(5000));
+        misses.add(1);
+        fault_cycles.observe(8000 + (i & 0xff));
+    });
+    let (mut fault, mut zero, mut missed, mut batch) = (0u64, 0u64, 0u64, LogHistogram::new());
+    per_op("fault charge set, batched", |i| {
+        fault += 3000 + (i & 0xff);
+        zero += 5000;
+        missed += 1;
+        batch.observe(8000 + (i & 0xff));
+        if i % 390 == 389 {
+            metrics.charge_cpu(Subsystem::Fault, Cycles::new(std::mem::take(&mut fault)));
+            metrics.charge_cpu(Subsystem::Zero, Cycles::new(std::mem::take(&mut zero)));
+            misses.add(std::mem::take(&mut missed));
+            fault_cycles.merge(&std::mem::take(&mut batch));
+        }
+    });
     per_op("trace.emit (full ring)", |i| {
         trace.emit(1, TraceEvent::Fault { vpn: i, huge: false, cow: false, cycles: 8119 })
     });

@@ -22,12 +22,14 @@ use hawkeye_mem::{
     compact, AllocPref, Allocation, FrameKind, Order, OwnerTag, PageContent, Pfn, PhysMemory,
     HUGE_ORDER,
 };
-use hawkeye_metrics::{Cycles, Histogram, MetricsSink, Recorder, SimClock, Subsystem};
+use hawkeye_metrics::{
+    Cycles, Histogram, LogHistogram, MetricsSink, Recorder, SimClock, Subsystem,
+};
 use hawkeye_mem::fmfi::fmfi;
 use hawkeye_tlb::Mmu;
 use hawkeye_trace::{TraceEvent, TraceSink};
 use hawkeye_vm::{Hvpn, PageSize, Vpn};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -104,14 +106,48 @@ impl fmt::Display for OutOfMemory {
 
 impl Error for OutOfMemory {}
 
+/// The process table. Pids are handed out densely from 1 and processes
+/// are never removed (an exited process stays for its statistics), so pid
+/// `n` lives at index `n - 1` and iteration runs in pid order.
+#[derive(Default)]
+struct ProcessTable(Vec<Process>);
+
+impl ProcessTable {
+    #[inline]
+    fn get(&self, pid: u32) -> Option<&Process> {
+        self.0.get((pid as usize).wrapping_sub(1))
+    }
+
+    #[inline]
+    fn get_mut(&mut self, pid: u32) -> Option<&mut Process> {
+        self.0.get_mut((pid as usize).wrapping_sub(1))
+    }
+
+    /// The pid the next spawned process gets.
+    fn next_pid(&self) -> u32 {
+        self.0.len() as u32 + 1
+    }
+}
+
+/// Registry charges made per fault, batched in plain fields until
+/// [`Machine::flush_metrics`] publishes them (DESIGN.md §11). Each is
+/// additive, so a reader after a flush sees exactly what per-fault
+/// charges would have produced.
+#[derive(Debug, Default)]
+struct PendingCharges {
+    /// CPU-ledger cycles by [`Subsystem`] index.
+    cpu: [u64; Subsystem::ALL.len()],
+    /// `fault_cycles` observations.
+    fault_cycles: LogHistogram,
+}
+
 /// The simulated machine.
 pub struct Machine {
     config: KernelConfig,
     pm: PhysMemory,
     mmu: Mmu,
     clock: SimClock,
-    processes: BTreeMap<u32, Process>,
-    next_pid: u32,
+    processes: ProcessTable,
     zero_pfn: Pfn,
     file_pages: BTreeSet<Pfn>,
     stats: KernelStats,
@@ -122,6 +158,7 @@ pub struct Machine {
     /// resolved once at boot so the fault path observes without a lookup.
     fault_cycles: Histogram,
     promote_cycles: Histogram,
+    pending: PendingCharges,
     /// Multi-core access-plan recorder; `None` at `cores = 1`, where the
     /// machine is exactly the serial engine (no recording, no overhead).
     conc: Option<ConcRecorder>,
@@ -157,8 +194,7 @@ impl Machine {
             pm,
             mmu,
             clock: SimClock::new(),
-            processes: BTreeMap::new(),
-            next_pid: 1,
+            processes: ProcessTable::default(),
             zero_pfn: z.pfn,
             file_pages: BTreeSet::new(),
             stats: KernelStats::default(),
@@ -166,6 +202,7 @@ impl Machine {
             trace,
             fault_cycles: metrics.histogram("fault_cycles"),
             promote_cycles: metrics.histogram("promote_cycles"),
+            pending: PendingCharges::default(),
             metrics,
             conc,
         }
@@ -223,10 +260,37 @@ impl Machine {
         self.metrics.charge_unhalted(spent);
     }
 
-    /// Records one page fault's service cycles in the registry's
+    /// Records one page fault's service cycles for the registry's
     /// `fault_cycles` histogram (the simulator calls this per fault).
-    pub(crate) fn observe_fault(&self, cost: Cycles) {
-        self.fault_cycles.observe(cost.get());
+    pub(crate) fn observe_fault(&mut self, cost: Cycles) {
+        self.pending.fault_cycles.observe(cost.get());
+    }
+
+    /// Batches a per-fault CPU-ledger charge (see [`PendingCharges`]).
+    #[inline]
+    fn charge_cpu(&mut self, sub: Subsystem, c: Cycles) {
+        self.pending.cpu[sub as usize] += c.get();
+    }
+
+    /// Publishes every registry charge batched since the last flush: the
+    /// fault path's CPU-ledger cycles and `fault_cycles` observations, the
+    /// allocator's `mem.zeroed_alloc_{hits,misses}` and the PMU's
+    /// `walk_cycles`. The simulator calls this at every round end, at
+    /// run-loop exit and before each metric sample; a custom driver
+    /// calls it at its own quantum boundaries. Dropping the machine
+    /// flushes too, so no charge is lost when a driver stops between
+    /// flush points.
+    pub fn flush_metrics(&mut self) {
+        for s in Subsystem::ALL {
+            let c = std::mem::take(&mut self.pending.cpu[s as usize]);
+            self.metrics.charge_cpu(s, Cycles::new(c));
+        }
+        if self.pending.fault_cycles.count() > 0 {
+            self.fault_cycles.merge(&self.pending.fault_cycles);
+            self.pending.fault_cycles = LogHistogram::new();
+        }
+        self.pm.flush_metrics();
+        self.mmu.flush_metrics();
     }
 
     /// Physical memory state.
@@ -277,34 +341,33 @@ impl Machine {
 
     /// Creates a process running `workload`. Returns its pid.
     pub fn spawn(&mut self, workload: Box<dyn Workload>) -> u32 {
-        let pid = self.next_pid;
-        self.next_pid += 1;
+        let pid = self.processes.next_pid();
         let mut p = Process::new(pid, workload);
         p.space_mut()
             .page_table_mut()
             .set_translation_cache_enabled(self.config.fast_path);
-        self.processes.insert(pid, p);
+        self.processes.0.push(p);
         pid
     }
 
     /// All pids ever spawned, in order.
     pub fn pids(&self) -> Vec<u32> {
-        self.processes.keys().copied().collect()
+        (1..self.processes.next_pid()).collect()
     }
 
     /// Pids of processes still running.
     pub fn running_pids(&self) -> Vec<u32> {
-        self.processes.values().filter(|p| !p.is_finished()).map(Process::pid).collect()
+        self.processes.0.iter().filter(|p| !p.is_finished()).map(Process::pid).collect()
     }
 
     /// Looks up a process.
     pub fn process(&self, pid: u32) -> Option<&Process> {
-        self.processes.get(&pid)
+        self.processes.get(pid)
     }
 
     /// Looks up a process mutably.
     pub fn process_mut(&mut self, pid: u32) -> Option<&mut Process> {
-        self.processes.get_mut(&pid)
+        self.processes.get_mut(pid)
     }
 
     /// Split borrow for the touch hot path: one process lookup hands the
@@ -314,7 +377,7 @@ impl Machine {
         &mut self,
         pid: u32,
     ) -> Option<(&mut Process, &mut Mmu, &mut PhysMemory, &KernelConfig)> {
-        let p = self.processes.get_mut(&pid)?;
+        let p = self.processes.get_mut(pid)?;
         Some((p, &mut self.mmu, &mut self.pm, &self.config))
     }
 
@@ -345,12 +408,12 @@ impl Machine {
     pub fn fault_map_base(&mut self, pid: u32, vpn: Vpn) -> Result<Cycles, OutOfMemory> {
         let (a, reclaim_cost) = self.alloc_user(Order(0), AllocPref::Zeroed).ok_or(OutOfMemory)?;
         let mut cost = self.config.costs.fault_base_4k + reclaim_cost;
-        self.metrics.charge_cpu(Subsystem::Fault, cost);
+        self.charge_cpu(Subsystem::Fault, cost);
         if !a.was_zeroed {
             self.pm.zero_block(a.pfn, Order(0));
             self.stats.sync_zeroed_pages += 1;
             cost += self.config.costs.zero_4k;
-            self.metrics.charge_cpu(Subsystem::Zero, self.config.costs.zero_4k);
+            self.charge_cpu(Subsystem::Zero, self.config.costs.zero_4k);
         }
         self.finish_map_base(pid, vpn, a.pfn);
         self.conc_app(pid, vpn.hvpn(), cost, Some(Order(0)));
@@ -360,12 +423,12 @@ impl Machine {
     /// Maps a policy-provided frame (FreeBSD-style reservations) at `vpn`.
     pub fn fault_map_base_at(&mut self, pid: u32, vpn: Vpn, pfn: Pfn) -> Cycles {
         let mut cost = self.config.costs.fault_base_4k;
-        self.metrics.charge_cpu(Subsystem::Fault, cost);
+        self.charge_cpu(Subsystem::Fault, cost);
         if !self.pm.frame(pfn).is_zeroed() {
             self.pm.zero_block(pfn, Order(0));
             self.stats.sync_zeroed_pages += 1;
             cost += self.config.costs.zero_4k;
-            self.metrics.charge_cpu(Subsystem::Zero, self.config.costs.zero_4k);
+            self.charge_cpu(Subsystem::Zero, self.config.costs.zero_4k);
         }
         self.finish_map_base(pid, vpn, pfn);
         self.conc_app(pid, vpn.hvpn(), cost, None);
@@ -379,7 +442,7 @@ impl Machine {
             f.set_owner(Some(OwnerTag { pid, vpn: vpn.0 }));
             f.set_movable(true);
         }
-        let p = self.processes.get_mut(&pid).expect("faulting process exists");
+        let p = self.processes.get_mut(pid).expect("faulting process exists");
         p.space_mut().map_base(vpn, pfn).expect("fault target is valid and unmapped");
     }
 
@@ -397,13 +460,13 @@ impl Machine {
         let hvpn = vpn.hvpn();
         let promotable = self
             .processes
-            .get(&pid)
+            .get(pid)
             .map(|p| p.space().region_promotable(hvpn))
             .unwrap_or(false);
         // Any existing base mapping in the region forbids a huge fault.
         let region_empty = self
             .processes
-            .get(&pid)
+            .get(pid)
             .map(|p| p.space().page_table().region_mapped_count(hvpn) == 0)
             .unwrap_or(false);
         if !promotable || !region_empty {
@@ -413,15 +476,15 @@ impl Machine {
             return self.fault_map_base(pid, vpn).map(|c| (c, false));
         };
         let mut cost = self.config.costs.fault_base_2m;
-        self.metrics.charge_cpu(Subsystem::Fault, cost);
+        self.charge_cpu(Subsystem::Fault, cost);
         if !a.was_zeroed {
             self.pm.zero_block(a.pfn, HUGE_ORDER);
             self.stats.sync_zeroed_pages += 512;
             cost += self.config.costs.zero_2m();
-            self.metrics.charge_cpu(Subsystem::Zero, self.config.costs.zero_2m());
+            self.charge_cpu(Subsystem::Zero, self.config.costs.zero_2m());
         }
         self.install_huge_frames(pid, hvpn, a.pfn);
-        let p = self.processes.get_mut(&pid).expect("faulting process exists");
+        let p = self.processes.get_mut(pid).expect("faulting process exists");
         p.space_mut().map_huge(hvpn, a.pfn).expect("region checked promotable and empty");
         self.conc_app(pid, hvpn, cost, Some(HUGE_ORDER));
         Ok((cost, true))
@@ -446,24 +509,24 @@ impl Machine {
         let (a, reclaim_cost) = self.alloc_user(Order(0), AllocPref::Zeroed).ok_or(OutOfMemory)?;
         let mut cost =
             self.config.costs.fault_base_4k + self.config.costs.cow_extra + reclaim_cost;
-        self.metrics.charge_cpu(Subsystem::Fault, cost);
+        self.charge_cpu(Subsystem::Fault, cost);
         if !a.was_zeroed {
             self.pm.zero_block(a.pfn, Order(0));
             self.stats.sync_zeroed_pages += 1;
             cost += self.config.costs.zero_4k;
-            self.metrics.charge_cpu(Subsystem::Zero, self.config.costs.zero_4k);
+            self.charge_cpu(Subsystem::Zero, self.config.costs.zero_4k);
         }
         {
             let f = self.pm.frame_mut(a.pfn);
             f.set_kind(FrameKind::Anon);
             f.set_owner(Some(OwnerTag { pid, vpn: vpn.0 }));
         }
-        let p = self.processes.get_mut(&pid).expect("faulting process exists");
+        let p = self.processes.get_mut(pid).expect("faulting process exists");
         let space = p.space_mut();
         space.unmap_base(vpn).expect("zero-cow entry exists");
         space.map_base(vpn, a.pfn).expect("just unmapped");
         self.mmu.invalidate_page(pid, vpn);
-        let p = self.processes.get_mut(&pid).expect("exists");
+        let p = self.processes.get_mut(pid).expect("exists");
         p.stats_mut().cow_faults += 1;
         self.conc_app(pid, vpn.hvpn(), cost, Some(Order(0)));
         Ok(cost)
@@ -478,7 +541,7 @@ impl Machine {
     ///
     /// See [`PromoteError`].
     pub fn promote(&mut self, pid: u32, hvpn: Hvpn) -> Result<Promoted, PromoteError> {
-        let p = self.processes.get(&pid).ok_or(PromoteError::NoProcess)?;
+        let p = self.processes.get(pid).ok_or(PromoteError::NoProcess)?;
         let space = p.space();
         if space.page_table().huge_entry(hvpn).is_some() {
             return Err(PromoteError::AlreadyHuge);
@@ -494,7 +557,7 @@ impl Machine {
             .alloc(HUGE_ORDER, AllocPref::Zeroed)
             .map_err(|_| PromoteError::NoContiguousMemory)?;
 
-        let p = self.processes.get_mut(&pid).expect("checked above");
+        let p = self.processes.get_mut(pid).expect("checked above");
         let mut cost = Cycles::ZERO;
         let mut copied = 0u32;
         let mut taken = 0u32;
@@ -539,7 +602,7 @@ impl Machine {
             }
         }
         self.install_huge_frames(pid, hvpn, a.pfn);
-        let p = self.processes.get_mut(&pid).expect("exists");
+        let p = self.processes.get_mut(pid).expect("exists");
         p.space_mut().map_huge(hvpn, a.pfn).expect("entries taken, region covered");
         self.mmu.invalidate_region(pid, hvpn.0);
         self.stats.promotions += 1;
@@ -570,7 +633,7 @@ impl Machine {
     /// [`PromoteError::AlreadyHuge`] / [`PromoteError::NoProcess`] as for
     /// [`Machine::promote`].
     pub fn promote_in_place(&mut self, pid: u32, hvpn: Hvpn) -> Result<(), PromoteError> {
-        let p = self.processes.get(&pid).ok_or(PromoteError::NoProcess)?;
+        let p = self.processes.get(pid).ok_or(PromoteError::NoProcess)?;
         let space = p.space();
         if space.page_table().huge_entry(hvpn).is_some() {
             return Err(PromoteError::AlreadyHuge);
@@ -599,7 +662,7 @@ impl Machine {
                 return Err(PromoteError::NotPromotable);
             }
         }
-        let p = self.processes.get_mut(&pid).expect("checked");
+        let p = self.processes.get_mut(pid).expect("checked");
         let pt = p.space_mut().page_table_mut();
         pt.take_base_entries_in_region(hvpn, |_, _| {});
         pt.map_huge(hvpn, first).expect("entries taken");
@@ -626,7 +689,7 @@ impl Machine {
     /// Returns the daemon cycles charged, or `None` if the region was not
     /// mapped huge.
     pub fn demote(&mut self, pid: u32, hvpn: Hvpn) -> Option<Cycles> {
-        let p = self.processes.get_mut(&pid)?;
+        let p = self.processes.get_mut(pid)?;
         let entry = p.space_mut().split_huge(hvpn).ok()?;
         for i in 0..512u64 {
             let f = self.pm.frame_mut(Pfn(entry.pfn.0 + i));
@@ -650,7 +713,7 @@ impl Machine {
     ///
     /// Returns `None` if the region is not mapped huge for `pid`.
     pub fn dedup_zero_pages(&mut self, pid: u32, hvpn: Hvpn, min_zero: u32) -> Option<DedupOutcome> {
-        let p = self.processes.get(&pid)?;
+        let p = self.processes.get(pid)?;
         let entry = *p.space().page_table().huge_entry(hvpn)?;
         self.stats.bloat_scans += 1;
         // Scan phase.
@@ -676,7 +739,7 @@ impl Machine {
         let demote_cost = self.demote(pid, hvpn).expect("huge entry present");
         cost += demote_cost;
         let zero_pfn = self.zero_pfn;
-        let p = self.processes.get_mut(&pid).expect("exists");
+        let p = self.processes.get_mut(pid).expect("exists");
         let space = p.space_mut();
         let mut freed = Vec::new();
         for i in 0..512u64 {
@@ -797,7 +860,7 @@ impl Machine {
     /// and shoots down the TLB. Returns the kernel cycles charged to the
     /// caller.
     pub fn madvise_dontneed(&mut self, pid: u32, start: Vpn, pages: u64) -> Cycles {
-        let Some(p) = self.processes.get_mut(&pid) else { return Cycles::ZERO };
+        let Some(p) = self.processes.get_mut(pid) else { return Cycles::ZERO };
         // Regions with huge mappings that will be split or removed.
         let end = Vpn(start.0 + pages);
         let touched_regions: Vec<Hvpn> = if pages == 0 {
@@ -817,7 +880,7 @@ impl Machine {
             self.mmu.invalidate_region(pid, h.0);
             // If base entries remain in the region, it was split (partial
             // coverage): its surviving frames become individually movable.
-            let p = self.processes.get(&pid).expect("exists");
+            let p = self.processes.get(pid).expect("exists");
             if p.space().page_table().region_mapped_count(*h) > 0 {
                 demotions += 1;
                 // Split cost is folded into the per-page unmap charge below.
@@ -857,10 +920,10 @@ impl Machine {
     /// Tears down an exited process: unmaps everything, frees frames,
     /// drops MMU state. The process entry remains for statistics.
     pub fn exit_process(&mut self, pid: u32) {
-        let Some(p) = self.processes.get_mut(&pid) else { return };
+        let Some(p) = self.processes.get_mut(pid) else { return };
         let starts: Vec<Vpn> = p.space().vmas().map(|v| v.start()).collect();
         for start in starts {
-            let p = self.processes.get_mut(&pid).expect("exists");
+            let p = self.processes.get_mut(pid).expect("exists");
             let Ok(freed) = p.space_mut().munmap(start) else { continue };
             for f in freed {
                 if f.zero_cow {
@@ -927,6 +990,8 @@ impl Machine {
     /// Records the standard per-sample series (memory, per-process RSS /
     /// huge pages). Called by the simulator on the sampling period.
     pub(crate) fn sample_metrics(&mut self) {
+        // The `CycleSample` below snapshots the registry.
+        self.flush_metrics();
         let now = self.clock.now();
         let alloc = self.pm.allocated_pages() as f64;
         self.recorder.record_at("mem.allocated_pages", now, alloc);
@@ -956,7 +1021,8 @@ impl Machine {
         }
         let rows: Vec<(u32, f64, f64)> = self
             .processes
-            .values()
+            .0
+            .iter()
             .map(|p| (p.pid(), p.space().rss_pages() as f64, p.space().huge_pages() as f64))
             .collect();
         for (pid, rss, huge) in rows {
@@ -985,7 +1051,7 @@ impl Machine {
 /// Migrates one frame's mapping from `src` to `dst` during compaction,
 /// using the source frame's reverse-map tag.
 fn migrate_frame(
-    processes: &mut BTreeMap<u32, Process>,
+    processes: &mut ProcessTable,
     mmu: &mut Mmu,
     file_pages: &mut BTreeSet<Pfn>,
     src: Pfn,
@@ -1003,7 +1069,7 @@ fn migrate_frame(
         // refuse to move what we cannot re-index.
         return false;
     };
-    let Some(p) = processes.get_mut(&owner.pid) else {
+    let Some(p) = processes.get_mut(owner.pid) else {
         return false; // stale tag: veto the move
     };
     let vpn = Vpn(owner.vpn);
@@ -1017,13 +1083,19 @@ fn migrate_frame(
     true
 }
 
+impl Drop for Machine {
+    fn drop(&mut self) {
+        self.flush_metrics();
+    }
+}
+
 impl fmt::Debug for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Machine")
             .field("now", &self.clock.now())
             .field("frames", &self.pm.total_frames())
             .field("allocated", &self.pm.allocated_pages())
-            .field("processes", &self.processes.len())
+            .field("processes", &self.processes.0.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -1236,6 +1308,46 @@ mod tests {
         let rec = m.concurrency().unwrap();
         let acq: u64 = rec.totals().iter().map(|c| c.acquisitions).sum();
         assert!(acq >= 513, "512 faults + 1 promotion recorded, got {acq}");
+    }
+
+    #[test]
+    fn batched_fault_charges_publish_at_sample_and_drop() {
+        use hawkeye_metrics::registry;
+        registry::scope::begin();
+        hawkeye_trace::scope::begin(1024);
+        let mut m = machine();
+        let pid = spawn_with_vma(&mut m, 1024);
+        let mut cost = Cycles::ZERO;
+        for i in 0..8 {
+            let c = m.fault_map_base(pid, Vpn(i)).unwrap();
+            m.observe_fault(c);
+            cost += c;
+        }
+        // A custom driver's sample snapshots the registry after a flush.
+        m.sample_metrics_now();
+        let journal = hawkeye_trace::scope::end().expect("trace scope was open");
+        let sampled = journal
+            .records
+            .iter()
+            .find_map(|r| match r.event {
+                TraceEvent::CycleSample { fault, zero, .. } => Some(fault + zero),
+                _ => None,
+            })
+            .expect("one cycle sample");
+        assert_eq!(sampled, cost.get());
+        // Charges after the last flush publish when the machine drops.
+        let c = m.fault_map_base(pid, Vpn(100)).unwrap();
+        m.observe_fault(c);
+        drop(m);
+        let reg = registry::scope::end().expect("registry scope was open");
+        let mm = reg.machine(0).expect("attached");
+        let charged = mm.cpu_cycles(Subsystem::Fault) + mm.cpu_cycles(Subsystem::Zero);
+        assert_eq!(charged, (cost + c).get());
+        assert_eq!(mm.hist("fault_cycles").expect("observed").count(), 9);
+        // Nine fault allocations plus the boot-time zero page.
+        let allocs =
+            mm.counter("mem.zeroed_alloc_hits") + mm.counter("mem.zeroed_alloc_misses");
+        assert_eq!(allocs, 10);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::workload::{MemOp, Workload};
 use hawkeye_mem::Pfn;
 use hawkeye_metrics::{Cycles, Subsystem};
 use hawkeye_trace::TraceEvent;
-use hawkeye_vm::{PageSize, Vpn};
+use hawkeye_vm::{AccessMiss, PageSize, Translation, Vpn};
 
 /// Interposer on the touch path, invoked once per page touch after
 /// translation. The virtualization layer uses this to model the host side
@@ -81,6 +81,21 @@ struct CpuLedger {
     fault: Cycles,
     /// Application compute: think time, in-core accesses, spin loops.
     idle: Cycles,
+}
+
+/// Outcome of one touch attempt ([`Simulator::touch_mapped`]). The miss
+/// variants carry no data, so they sit in the translation's niche and the
+/// enum moves like an `Option<Translation>`. A `Result<Translation,
+/// AccessMiss>` would store the miss byte over the frame number and get
+/// copied in byte-shuffled pieces, which stalls store forwarding on every
+/// touch (DESIGN.md §8 "One probe per fault").
+enum Touched {
+    /// The page was mapped; the touch is done.
+    Mapped(Translation),
+    /// No mapping covers the page.
+    Unmapped,
+    /// A write hit a zero-COW mapping.
+    ZeroCowWrite,
 }
 
 /// One process's closed-form share of each quantum in a skip batch.
@@ -169,6 +184,7 @@ impl Simulator {
         let mut policy = self.policy.take().expect("policy installed");
         policy.on_steer(&mut self.machine, s);
         self.policy = Some(policy);
+        self.machine.flush_metrics();
     }
 
     /// Force-terminates `pid` (fleet migration: the tenant leaves this
@@ -185,6 +201,7 @@ impl Simulator {
         let mut policy = self.policy.take().expect("policy installed");
         policy.on_exit(&mut self.machine, pid);
         self.policy = Some(policy);
+        self.machine.flush_metrics();
     }
 
     /// Balloons `pages` pages out of `pid` starting at `start`
@@ -195,6 +212,7 @@ impl Simulator {
         let mut policy = self.policy.take().expect("policy installed");
         policy.on_release(&mut self.machine, pid, start, pages);
         self.policy = Some(policy);
+        self.machine.flush_metrics();
         cost
     }
 
@@ -255,7 +273,7 @@ impl Simulator {
                 }
             }
         }
-        self.machine.mmu_mut().flush_metrics();
+        self.machine.flush_metrics();
         self.machine.drain_concurrency();
         crate::sched_stats::add(total, skipped);
         self.machine.now()
@@ -273,10 +291,10 @@ impl Simulator {
         for pid in pids {
             self.step_process(&mut *policy, pid, quantum);
         }
-        // Drain walk durations batched during the quantum into the
-        // registry (additive merge — readers see exactly what per-walk
-        // observation would have produced, without its per-touch cost).
-        self.machine.mmu_mut().flush_metrics();
+        // Publish the registry charges batched during the quantum
+        // (additive — readers see exactly what per-fault and per-walk
+        // charges would have produced, without their per-event cost).
+        self.machine.flush_metrics();
         self.machine.advance(quantum);
         let now = self.machine.now();
         if now >= self.next_tick {
@@ -791,83 +809,57 @@ impl Simulator {
         think: u32,
         spent: &mut Cycles,
         ledger: &mut CpuLedger,
-    ) -> Result<hawkeye_vm::Translation, OutOfMemory> {
+    ) -> Result<Translation, OutOfMemory> {
         let repeats = repeats.max(1);
-        if let Some(tr) = self.touch_mapped(pid, vpn, write, repeats, think, spent, ledger) {
-            return Ok(tr);
-        }
-        let access_cost = self.machine.config().costs.access;
         let mut guard = 0;
-        let translation = loop {
-            let tr = {
-                let p = self.machine.process_mut(pid).expect("running process");
-                p.space_mut().access(vpn, write)
+        loop {
+            let cow = match self.touch_mapped(pid, vpn, write, repeats, think, spent, ledger) {
+                Touched::Mapped(tr) => return Ok(tr),
+                Touched::Unmapped => false,
+                Touched::ZeroCowWrite => true,
             };
-            if let Some(t) = tr {
-                break t;
-            }
             guard += 1;
             assert!(guard <= 3, "fault loop did not converge at {vpn}");
-            // Distinguish zero-COW writes from missing mappings.
-            let zero_cow = self
-                .machine
-                .process(pid)
-                .and_then(|p| p.space().translate(vpn))
-                .map(|t| t.zero_cow)
-                .unwrap_or(false);
-            let (fault_cost, huge) = if write && zero_cow {
-                (self.machine.cow_fault(pid, vpn)?, false)
-            } else {
-                let action = policy.on_fault(&mut self.machine, pid, vpn);
-                self.apply_fault_action(pid, vpn, action)?
-            };
-            *spent += fault_cost;
-            let p = self.machine.process_mut(pid).expect("exists");
-            let st = p.stats_mut();
-            st.faults += 1;
-            st.fault_cycles += fault_cost;
-            self.machine.observe_fault(fault_cost);
-            self.machine.trace().emit(
-                pid,
-                TraceEvent::Fault {
-                    vpn: vpn.0,
-                    huge,
-                    cow: write && zero_cow,
-                    cycles: fault_cost.get(),
-                },
-            );
-        };
-        let out = self.machine.mmu_mut().access(pid, vpn, translation.size, write);
-        let compute = (access_cost + Cycles::new(think as u64)) * repeats as u64;
-        *spent += out.cycles + compute;
-        ledger.walk += out.cycles;
-        ledger.idle += compute;
-        if let Some(hook) = self.hook.as_mut() {
-            let hook_cost =
-                hook.on_touch(pid, vpn, translation.pfn, translation.size, write, out.walk_cycles);
-            *spent += hook_cost;
-            ledger.fault += hook_cost;
+            *spent += self.take_fault(policy, pid, vpn, cow)?;
         }
-        if write && !translation.zero_cow {
-            let dirt = self.machine.process_mut(pid).expect("exists").dirt_offset();
-            self.machine
-                .pm_mut()
-                .frame_mut(translation.pfn)
-                .set_content(hawkeye_mem::PageContent::non_zero(dirt));
-        }
-        let p = self.machine.process_mut(pid).expect("exists");
-        let st = p.stats_mut();
-        st.touches += 1;
-        st.accesses += repeats as u64;
-        Ok(translation)
     }
 
-    /// The no-fault arm of [`Simulator::touch_page`]: when the page is
-    /// already mapped (and, for writes, resolved past any zero-COW), one
-    /// process lookup serves the translation, the dirt draw and the stats
-    /// update. Returns `None` — with no state change beyond the
-    /// side-effect-free failed translation — when a fault is needed, and
-    /// the caller falls back to the fault loop.
+    /// Services the fault a touch of `vpn` missed on — a COW break for a
+    /// write to a zero-COW mapping (`cow`), the policy's choice otherwise —
+    /// and records it (stats, `fault_cycles`, journal). Returns its cycles.
+    /// Kept out of line so the no-fault touch path stays small.
+    #[cold]
+    #[inline(never)]
+    fn take_fault(
+        &mut self,
+        policy: &mut dyn HugePagePolicy,
+        pid: u32,
+        vpn: Vpn,
+        cow: bool,
+    ) -> Result<Cycles, OutOfMemory> {
+        let (fault_cost, huge) = if cow {
+            (self.machine.cow_fault(pid, vpn)?, false)
+        } else {
+            let action = policy.on_fault(&mut self.machine, pid, vpn);
+            self.apply_fault_action(pid, vpn, action)?
+        };
+        let st = self.machine.process_mut(pid).expect("exists").stats_mut();
+        st.faults += 1;
+        st.fault_cycles += fault_cost;
+        self.machine.observe_fault(fault_cost);
+        self.machine.trace().emit(
+            pid,
+            TraceEvent::Fault { vpn: vpn.0, huge, cow, cycles: fault_cost.get() },
+        );
+        Ok(fault_cost)
+    }
+
+    /// One touch of a mapped page: the translation (one page-table probe)
+    /// with TLB timing, the access hook, the dirt draw and the stats
+    /// update, all through one process lookup. When the page needs a
+    /// fault, returns which one — with no state change beyond the failed
+    /// probe — and [`Simulator::touch_page`] takes it and retries.
+    /// (Not a `Result<Translation, AccessMiss>`: see [`Touched`].)
     #[allow(clippy::too_many_arguments)]
     fn touch_mapped(
         &mut self,
@@ -878,9 +870,13 @@ impl Simulator {
         think: u32,
         spent: &mut Cycles,
         ledger: &mut CpuLedger,
-    ) -> Option<hawkeye_vm::Translation> {
+    ) -> Touched {
         let (p, mmu, pm, config) = self.machine.touch_parts(pid).expect("running process");
-        let translation = p.space_mut().access(vpn, write)?;
+        let translation = match p.space_mut().access(vpn, write) {
+            Ok(t) => t,
+            Err(AccessMiss::Unmapped) => return Touched::Unmapped,
+            Err(AccessMiss::ZeroCowWrite) => return Touched::ZeroCowWrite,
+        };
         let out = mmu.access(pid, vpn, translation.size, write);
         let compute = (config.costs.access + Cycles::new(think as u64)) * repeats as u64;
         *spent += out.cycles + compute;
@@ -899,7 +895,7 @@ impl Simulator {
         let st = p.stats_mut();
         st.touches += 1;
         st.accesses += repeats as u64;
-        Some(translation)
+        Touched::Mapped(translation)
     }
 
     /// Returns the fault cost and whether the fault was served huge.

@@ -77,6 +77,10 @@ pub struct PhysMemory {
     frames: Vec<Frame>,
     /// `[order][zeroed as usize]`
     lists: [[FreeList; 2]; NORDERS],
+    /// `[zeroed as usize]`: bit `o` set iff `lists[o][zeroed]` is
+    /// non-empty, so a search for the smallest fitting block is one
+    /// mask-and-count instead of a scan over the list heads.
+    nonempty: [u16; 2],
     free_pages: u64,
     zeroed_free_pages: u64,
     /// Whether free blocks of different zero-ness may merge (demoting the
@@ -92,12 +96,16 @@ pub struct PhysMemory {
 }
 
 /// The allocator's registry counter handles (see
-/// [`PhysMemory::set_metrics_sink`]).
+/// [`PhysMemory::set_metrics_sink`]), with the per-allocation counts
+/// batched until [`PhysMemory::flush_metrics`].
 #[derive(Debug, Clone, Default)]
 struct MemCounters {
     zeroed_alloc_hits: Counter,
     zeroed_alloc_misses: Counter,
     prezeroed_pages: Counter,
+    /// `mem.zeroed_alloc_{hits,misses}` pages not yet published.
+    pending_hits: u64,
+    pending_misses: u64,
 }
 
 impl PhysMemory {
@@ -133,6 +141,7 @@ impl PhysMemory {
         let mut pm = PhysMemory {
             frames: vec![Frame::default(); total_frames as usize],
             lists: [[FreeList::EMPTY; 2]; NORDERS],
+            nonempty: [0; 2],
             free_pages: 0,
             zeroed_free_pages: 0,
             cross_merge,
@@ -168,7 +177,20 @@ impl PhysMemory {
             zeroed_alloc_hits: metrics.counter("mem.zeroed_alloc_hits"),
             zeroed_alloc_misses: metrics.counter("mem.zeroed_alloc_misses"),
             prezeroed_pages: metrics.counter("mem.prezeroed_pages"),
+            pending_hits: 0,
+            pending_misses: 0,
         };
+    }
+
+    /// Publishes the `mem.zeroed_alloc_{hits,misses}` pages counted since
+    /// the last flush. Allocation counts them in plain fields, because even
+    /// a lock-free registry add per fault is measurable; the machine
+    /// flushes once per quantum and before every registry read, so readers
+    /// see exactly what per-allocation adds would have produced.
+    pub fn flush_metrics(&mut self) {
+        let c = &mut self.counters;
+        c.zeroed_alloc_hits.add(std::mem::take(&mut c.pending_hits));
+        c.zeroed_alloc_misses.add(std::mem::take(&mut c.pending_misses));
     }
 
     /// Total number of frames.
@@ -258,9 +280,9 @@ impl PhysMemory {
         // (the paper's §3.1 win) vs. forcing synchronous zeroing.
         if pref == AllocPref::Zeroed {
             if was_zeroed {
-                self.counters.zeroed_alloc_hits.add(order.pages());
+                self.counters.pending_hits += order.pages();
             } else {
-                self.counters.zeroed_alloc_misses.add(order.pages());
+                self.counters.pending_misses += order.pages();
             }
         }
         Ok(Allocation { pfn, order, was_zeroed })
@@ -280,6 +302,7 @@ impl PhysMemory {
             let f = &mut self.frames[pfn.index() + i as usize];
             assert_eq!(f.state, FrameState::Allocated, "double free of {}", Pfn(pfn.0 + i));
             f.reset_user_meta();
+            f.state = FrameState::FreeTail;
         }
         self.insert_free_block(pfn, order);
     }
@@ -345,10 +368,8 @@ impl PhysMemory {
 
     /// Largest order for which a free block exists (in either list).
     pub fn largest_free_order(&self) -> Option<Order> {
-        (0..NORDERS)
-            .rev()
-            .find(|&o| self.lists[o][0].blocks + self.lists[o][1].blocks > 0)
-            .map(|o| Order(o as u8))
+        let mask = self.nonempty[0] | self.nonempty[1];
+        (mask != 0).then(|| Order((u16::BITS - 1 - mask.leading_zeros()) as u8))
     }
 
     /// Histogram of free blocks by order: `hist[order] = block count`
@@ -373,31 +394,28 @@ impl PhysMemory {
 
     // ---- internals ------------------------------------------------------
 
+    /// The head of the smallest non-empty `listz` list of at least
+    /// `order`.
     fn find_block(&self, order: Order, listz: usize) -> Option<(Pfn, Order, usize)> {
-        (order.index()..NORDERS).find_map(|o| {
-            let head = self.lists[o][listz].head;
-            (head != NO_LINK).then_some((Pfn(head as u64), Order(o as u8), listz))
+        let fits = self.nonempty[listz] & (u16::MAX << order.0);
+        (fits != 0).then(|| {
+            let o = fits.trailing_zeros() as usize;
+            (Pfn(self.lists[o][listz].head as u64), Order(o as u8), listz)
         })
     }
 
     fn pop_smallest_nonzero(&mut self) -> Option<(Pfn, Order)> {
-        for o in 0..NORDERS {
-            let head = self.lists[o][0].head;
-            if head != NO_LINK {
-                let pfn = Pfn(head as u64);
-                let order = Order(o as u8);
-                self.remove_free_block(pfn, order, 0);
-                return Some((pfn, order));
-            }
-        }
-        None
+        let (pfn, order, _) = self.find_block(Order(0), 0)?;
+        self.remove_free_block(pfn, order, 0);
+        Some((pfn, order))
     }
 
+    /// Marks a block taken off the free lists as allocated. Its frames are
+    /// all `FreeTail` already: the head was demoted when the block left
+    /// its list.
     fn mark_allocated(&mut self, pfn: Pfn, order: Order) {
-        for i in 0..order.pages() {
-            let f = &mut self.frames[pfn.index() + i as usize];
+        for f in &mut self.frames[pfn.index()..pfn.index() + order.pages() as usize] {
             f.state = FrameState::Allocated;
-            f.free_order = NOT_FREE_HEAD;
         }
     }
 
@@ -431,28 +449,29 @@ impl PhysMemory {
         self.insert_free_block_nomerge(pfn, order);
     }
 
+    /// Pushes the block onto its list. Every frame of the block must be
+    /// `FreeTail` already (frames leaving the Allocated state are set so by
+    /// [`PhysMemory::free`], and a block split or merged is made of free
+    /// frames), so only the head is written.
     fn insert_free_block_nomerge(&mut self, pfn: Pfn, order: Order) {
         let zeroed = self.block_is_zeroed(pfn, order);
         let listz = zeroed as usize;
-        for i in 0..order.pages() {
-            let f = &mut self.frames[pfn.index() + i as usize];
-            f.state = FrameState::FreeTail;
-            f.free_order = NOT_FREE_HEAD;
-            f.prev = NO_LINK;
-            f.next = NO_LINK;
-        }
         let head = self.lists[order.index()][listz].head;
         {
             let f = &mut self.frames[pfn.index()];
+            debug_assert_eq!(f.state, FrameState::FreeTail);
+            debug_assert!(f.owner().is_none(), "owned frame {pfn} entering a free list");
             f.state = FrameState::FreeHead;
             f.free_order = order.0;
-            f.next = head;
+            f.set_prev(NO_LINK);
+            f.set_next(head);
         }
         if head != NO_LINK {
-            self.frames[head as usize].prev = pfn.0 as u32;
+            self.frames[head as usize].set_prev(pfn.0 as u32);
         }
         self.lists[order.index()][listz].head = pfn.0 as u32;
         self.lists[order.index()][listz].blocks += 1;
+        self.nonempty[listz] |= 1 << order.0;
         self.free_pages += order.pages();
         if zeroed {
             self.zeroed_free_pages += order.pages();
@@ -464,23 +483,27 @@ impl PhysMemory {
             let f = &self.frames[pfn.index()];
             debug_assert_eq!(f.state, FrameState::FreeHead);
             debug_assert_eq!(f.free_order, order.0);
-            (f.prev, f.next)
+            (f.prev(), f.next())
         };
         if prev != NO_LINK {
-            self.frames[prev as usize].next = next;
+            self.frames[prev as usize].set_next(next);
         } else {
             debug_assert_eq!(self.lists[order.index()][listz].head, pfn.0 as u32);
             self.lists[order.index()][listz].head = next;
         }
         if next != NO_LINK {
-            self.frames[next as usize].prev = prev;
+            self.frames[next as usize].set_prev(prev);
         }
+        // The head joins the block's interior; its stale links are never
+        // read again (only heads are linked).
         let f = &mut self.frames[pfn.index()];
         f.state = FrameState::FreeTail;
         f.free_order = NOT_FREE_HEAD;
-        f.prev = NO_LINK;
-        f.next = NO_LINK;
-        self.lists[order.index()][listz].blocks -= 1;
+        let list = &mut self.lists[order.index()][listz];
+        list.blocks -= 1;
+        if list.blocks == 0 {
+            self.nonempty[listz] &= !(1 << order.0);
+        }
         self.free_pages -= order.pages();
         if listz == 1 {
             self.zeroed_free_pages -= order.pages();
@@ -510,7 +533,10 @@ impl PhysMemory {
     }
 
     /// Debug invariant check: list membership, counters, and zero-ness all
-    /// agree. Used by tests and property tests; O(frames).
+    /// agree; every listed block's interior frames are `FreeTail`, no free
+    /// frame lies outside a listed block or carries an owner, and the
+    /// non-empty masks match the lists. Used by tests and property tests;
+    /// O(frames).
     pub fn check_invariants(&self) {
         let mut free = 0u64;
         let mut zeroed_free = 0u64;
@@ -524,10 +550,13 @@ impl PhysMemory {
                     let f = &self.frames[cur as usize];
                     assert_eq!(f.state, FrameState::FreeHead);
                     assert_eq!(f.free_order as usize, o);
-                    assert_eq!(f.prev, prev);
+                    assert_eq!(f.prev(), prev);
                     let order = Order(o as u8);
                     let pfn = Pfn(cur as u64);
                     assert!(pfn.is_aligned(order));
+                    for t in &self.frames[pfn.index() + 1..pfn.index() + order.pages() as usize] {
+                        assert_eq!(t.state, FrameState::FreeTail, "interior of free block {pfn}");
+                    }
                     assert_eq!(self.block_is_zeroed(pfn, order), z == 1, "block {pfn} in wrong list");
                     free += order.pages();
                     if z == 1 {
@@ -536,9 +565,14 @@ impl PhysMemory {
                     count += 1;
                     seen_heads += 1;
                     prev = cur;
-                    cur = f.next;
+                    cur = f.next();
                 }
                 assert_eq!(count, list.blocks, "block counter mismatch at order {o} z {z}");
+                assert_eq!(
+                    self.nonempty[z] >> o & 1 == 1,
+                    count > 0,
+                    "non-empty mask disagrees at order {o} z {z}"
+                );
             }
         }
         assert_eq!(free, self.free_pages, "free page counter mismatch");
@@ -549,6 +583,12 @@ impl PhysMemory {
             .filter(|f| f.state == FrameState::FreeHead)
             .count() as u64;
         assert_eq!(heads, seen_heads, "orphan free heads exist");
+        let free_frames = self.frames.iter().filter(|f| f.is_free()).count() as u64;
+        assert_eq!(free_frames, free, "free frames outside any listed block");
+        assert!(
+            self.frames.iter().all(|f| !f.is_free() || f.owner().is_none()),
+            "a free frame carries an owner"
+        );
     }
 }
 

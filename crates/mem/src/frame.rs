@@ -48,35 +48,46 @@ pub(crate) enum FrameState {
     FreeTail,
 }
 
-/// Metadata of one physical frame.
+/// Metadata of one physical frame, packed into 20 bytes (the frame table
+/// holds one per 4 KB of simulated memory).
 ///
 /// Instances live in [`crate::PhysMemory`]'s frame table and are accessed by
 /// [`crate::PhysMemory::frame`] / [`crate::PhysMemory::frame_mut`].
 #[derive(Debug, Clone)]
 pub struct Frame {
+    /// The free-list links `[prev, next]` of a free block's head, or the
+    /// owner's vpn as `[low, high]` halves while [`OWNED`] is set. A free
+    /// frame has no owner and an owned frame is never on a free list, so
+    /// the two uses never overlap.
+    link: [u32; 2],
+    /// Owner pid, valid while [`OWNED`] is set.
+    pid: u32,
+    content_tag: u16,
     pub(crate) state: FrameState,
     /// Valid only when `state == FreeHead`.
     pub(crate) free_order: u8,
-    /// Free-list linkage (valid only when `state == FreeHead`).
-    pub(crate) prev: u32,
-    pub(crate) next: u32,
     kind: FrameKind,
-    owner: Option<OwnerTag>,
-    movable: bool,
-    content_tag: u16,
+    /// [`MOVABLE`] | [`OWNED`].
+    flags: u8,
 }
+
+/// `Frame::flags`: compaction may migrate the frame (unless pinned).
+const MOVABLE: u8 = 1;
+/// `Frame::flags`: `pid` and `link` hold a reverse-map owner.
+const OWNED: u8 = 2;
+
+const _: () = assert!(std::mem::size_of::<Frame>() == 20);
 
 impl Default for Frame {
     fn default() -> Self {
         Frame {
+            link: [NO_LINK; 2],
+            pid: 0,
+            content_tag: PageContent::ZERO_TAG,
             state: FrameState::FreeTail,
             free_order: NOT_FREE_HEAD,
-            prev: NO_LINK,
-            next: NO_LINK,
             kind: FrameKind::Anon,
-            owner: None,
-            movable: true,
-            content_tag: PageContent::ZERO_TAG,
+            flags: MOVABLE,
         }
     }
 }
@@ -97,29 +108,49 @@ impl Frame {
     pub fn set_kind(&mut self, kind: FrameKind) {
         self.kind = kind;
         if kind == FrameKind::Pinned {
-            self.movable = false;
+            self.flags &= !MOVABLE;
         }
     }
 
     /// Reverse-map owner, if the frame backs a user mapping.
     pub fn owner(&self) -> Option<OwnerTag> {
-        self.owner
+        (self.flags & OWNED != 0).then(|| OwnerTag {
+            pid: self.pid,
+            vpn: self.link[0] as u64 | (self.link[1] as u64) << 32,
+        })
     }
 
     /// Sets (or clears) the reverse-map owner.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug builds) when setting an owner on the head of a free
+    /// block, whose free-list links share the owner's storage.
     pub fn set_owner(&mut self, owner: Option<OwnerTag>) {
-        self.owner = owner;
+        match owner {
+            Some(o) => {
+                debug_assert!(self.state != FrameState::FreeHead, "owner set on a free-list head");
+                self.link = [o.vpn as u32, (o.vpn >> 32) as u32];
+                self.pid = o.pid;
+                self.flags |= OWNED;
+            }
+            None => self.flags &= !OWNED,
+        }
     }
 
     /// Whether compaction may migrate this frame.
     pub fn is_movable(&self) -> bool {
-        self.movable && self.kind != FrameKind::Pinned
+        self.flags & MOVABLE != 0 && self.kind != FrameKind::Pinned
     }
 
     /// Marks the frame movable/unmovable (e.g. huge-mapped frames are
     /// unmovable as units; pinned frames are never movable).
     pub fn set_movable(&mut self, movable: bool) {
-        self.movable = movable;
+        if movable {
+            self.flags |= MOVABLE;
+        } else {
+            self.flags &= !MOVABLE;
+        }
     }
 
     /// The frame's content summary.
@@ -138,10 +169,28 @@ impl Frame {
         self.content_tag == PageContent::ZERO_TAG
     }
 
+    /// Previous block head on this frame's free list (free heads only).
+    pub(crate) fn prev(&self) -> u32 {
+        self.link[0]
+    }
+
+    /// Next block head on this frame's free list (free heads only).
+    pub(crate) fn next(&self) -> u32 {
+        self.link[1]
+    }
+
+    pub(crate) fn set_prev(&mut self, prev: u32) {
+        self.link[0] = prev;
+    }
+
+    pub(crate) fn set_next(&mut self, next: u32) {
+        self.link[1] = next;
+    }
+
+    /// Clears the user metadata of a frame being freed.
     pub(crate) fn reset_user_meta(&mut self) {
         self.kind = FrameKind::Anon;
-        self.owner = None;
-        self.movable = true;
+        self.flags = MOVABLE;
     }
 }
 
@@ -197,6 +246,21 @@ mod tests {
         assert_eq!(f.owner().unwrap().vpn, 42);
         f.set_owner(None);
         assert!(f.owner().is_none());
+    }
+
+    #[test]
+    fn owner_keeps_a_full_width_vpn_and_flags_stay_independent() {
+        let mut f = Frame { state: FrameState::Allocated, ..Frame::default() };
+        f.set_movable(false);
+        let tag = OwnerTag { pid: u32::MAX - 1, vpn: (7 << 40) | 0xdead_beef };
+        f.set_owner(Some(tag));
+        assert_eq!(f.owner(), Some(tag));
+        assert!(!f.is_movable(), "setting an owner leaves movability alone");
+        f.set_movable(true);
+        assert_eq!(f.owner(), Some(tag), "movability leaves the owner alone");
+        f.reset_user_meta();
+        assert_eq!(f.owner(), None);
+        assert!(f.is_movable());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use hawkeye_kernel::{
 use hawkeye_mem::{PageContent, Pfn};
 use hawkeye_metrics::Cycles;
 use hawkeye_trace::TraceEvent;
-use hawkeye_vm::{Hvpn, PageSize, VmaKind, Vpn};
+use hawkeye_vm::{AccessMiss, Hvpn, PageSize, VmaKind, Vpn};
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
@@ -179,7 +179,7 @@ impl HostSide {
                 p.space_mut().access(vpn, write)
             };
             match tr {
-                Some(t) => {
+                Ok(t) => {
                     if walk > Cycles::ZERO {
                         // Nested-walk surcharge: host base mappings make
                         // the EPT legs long; host huge mappings keep them
@@ -198,15 +198,9 @@ impl HostSide {
                     }
                     return Ok(cost);
                 }
-                None => {
+                Err(miss) => {
                     // Unmapped, swapped, or a write to a KSM-merged page.
-                    let zero_cow = self
-                        .machine
-                        .process(host_pid)
-                        .and_then(|p| p.space().translate(vpn))
-                        .map(|t| t.zero_cow)
-                        .unwrap_or(false);
-                    if write && zero_cow {
+                    if miss == AccessMiss::ZeroCowWrite {
                         let (c, _) = self.fallible(host_pid, vpn, |hs, pid, v| {
                             hs.machine.cow_fault(pid, v).map(|c| (c, false)).map_err(|_| ())
                         })?;
@@ -499,13 +493,18 @@ impl VirtSystem {
                 break;
             }
         }
-        self.host().machine.now()
+        let mut host = self.host();
+        host.machine.flush_metrics();
+        host.machine.now()
     }
 
     fn host_round(&mut self) {
         let quantum = self.guest_template.quantum;
         {
+            // The host machine runs outside a `Simulator`, so its quantum
+            // boundary is this driver's to flush.
             let mut host = self.host();
+            host.machine.flush_metrics();
             host.machine.advance(quantum);
         }
         let now = self.host().machine.now();

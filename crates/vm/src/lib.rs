@@ -31,7 +31,7 @@ pub mod types;
 pub mod vma;
 
 pub use error::MapError;
-pub use page_table::{AccessSample, BaseEntry, HugeEntry, PageTable, Translation};
+pub use page_table::{AccessMiss, AccessSample, BaseEntry, HugeEntry, PageTable, Translation};
 pub use space::AddressSpace;
 pub use types::{Hvpn, PageSize, Vpn};
 pub use vma::{Vma, VmaKind};

@@ -92,6 +92,16 @@ pub struct Translation {
     pub zero_cow: bool,
 }
 
+/// Why an access must take a page fault ([`PageTable::access`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessMiss {
+    /// No mapping covers the page.
+    Unmapped,
+    /// A write hit a zero-COW mapping: the caller takes a COW fault and
+    /// replaces the mapping.
+    ZeroCowWrite,
+}
+
 /// One access-coverage sample of a huge region (see §3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AccessSample {
@@ -416,12 +426,11 @@ impl PageTable {
     }
 
     /// Translates and records an access (sets accessed, and dirty on
-    /// writes). Returns `None` when unmapped — the caller takes a fault.
-    ///
-    /// A *write* to a zero-COW entry also returns `None`: the caller must
-    /// take a COW fault and replace the mapping.
+    /// writes). An error names the fault the caller must take: the page is
+    /// unmapped, or the access is a write to a zero-COW entry. A failed
+    /// access sets no accessed or dirty bit.
     #[inline]
-    pub fn access(&mut self, vpn: Vpn, write: bool) -> Option<Translation> {
+    pub fn access(&mut self, vpn: Vpn, write: bool) -> Result<Translation, AccessMiss> {
         if self.cache_enabled {
             // A hit may bypass the chunk only when the access would be a
             // no-op on table state: accessed already set (invariant of
@@ -430,7 +439,7 @@ impl PageTable {
             // first: one region entry covers all 512 pages.
             if let Some((pfn, _, dirty)) = self.tc_lookup(vpn.hvpn().0 << 1 | 1) {
                 if !write || dirty {
-                    return Some(Translation {
+                    return Ok(Translation {
                         pfn: Pfn(pfn.0 + vpn.huge_offset()),
                         size: PageSize::Huge,
                         zero_cow: false,
@@ -438,16 +447,16 @@ impl PageTable {
                 }
             } else if let Some((pfn, zero_cow, dirty)) = self.tc_lookup(vpn.0 << 1) {
                 if !write || (dirty && !zero_cow) {
-                    return Some(Translation { pfn, size: PageSize::Base, zero_cow });
+                    return Ok(Translation { pfn, size: PageSize::Base, zero_cow });
                 }
             }
         }
         self.access_slow(vpn, write)
     }
 
-    fn access_slow(&mut self, vpn: Vpn, write: bool) -> Option<Translation> {
+    fn access_slow(&mut self, vpn: Vpn, write: bool) -> Result<Translation, AccessMiss> {
         let cache_enabled = self.cache_enabled;
-        let c = self.chunk_mut(vpn.hvpn())?;
+        let c = self.chunk_mut(vpn.hvpn()).ok_or(AccessMiss::Unmapped)?;
         if let Some(h) = &mut c.huge {
             h.accessed = true;
             h.dirty |= write;
@@ -460,15 +469,15 @@ impl PageTable {
             if cache_enabled {
                 self.tc_fill(vpn.hvpn().0 << 1 | 1, pfn, false, dirty);
             }
-            return Some(t);
+            return Ok(t);
         }
         let i = vpn.huge_offset() as usize;
         if !RegionChunk::bit(&c.mapped, i) {
-            return None;
+            return Err(AccessMiss::Unmapped);
         }
         let zero_cow = RegionChunk::bit(&c.zero_cow, i);
         if write && zero_cow {
-            return None;
+            return Err(AccessMiss::ZeroCowWrite);
         }
         RegionChunk::set(&mut c.accessed, i, true);
         if write {
@@ -479,7 +488,7 @@ impl PageTable {
         if cache_enabled {
             self.tc_fill(vpn.0 << 1, t.pfn, zero_cow, dirty);
         }
-        Some(t)
+        Ok(t)
     }
 
     /// Looks up the base entry for `vpn`, if any.
@@ -872,11 +881,11 @@ mod tests {
         let t = pt.access(Vpn(7), false).unwrap();
         assert!(t.zero_cow);
         // Writes demand a COW fault — including via a fresh cached entry.
-        assert!(pt.access(Vpn(7), true).is_none());
+        assert_eq!(pt.access(Vpn(7), true), Err(AccessMiss::ZeroCowWrite));
         // Kernel resolves the fault by remapping.
         pt.unmap_base(Vpn(7)).unwrap();
         pt.map_base(Vpn(7), Pfn(55), false).unwrap();
-        assert!(pt.access(Vpn(7), true).is_some());
+        assert!(pt.access(Vpn(7), true).is_ok());
     }
 
     #[test]
@@ -1002,7 +1011,7 @@ mod tests {
         pt.map_base(Vpn(9), Pfn(1), false).unwrap();
         pt.access(Vpn(9), true).unwrap(); // populates the cache
         pt.unmap_base(Vpn(9)).unwrap();
-        assert!(pt.access(Vpn(9), true).is_none(), "stale cache entry survived unmap");
+        assert_eq!(pt.access(Vpn(9), true), Err(AccessMiss::Unmapped), "stale cache entry survived unmap");
         pt.map_base(Vpn(9), Pfn(2), false).unwrap();
         assert_eq!(pt.access(Vpn(9), false).unwrap().pfn, Pfn(2));
         pt.remap_base(Vpn(9), Pfn(3)).unwrap();

@@ -7,7 +7,7 @@
 //! (§2.1) — freed ranges break huge mappings exactly as Linux does.
 
 use crate::error::MapError;
-use crate::page_table::{AccessSample, BaseEntry, HugeEntry, PageTable, Translation};
+use crate::page_table::{AccessMiss, AccessSample, BaseEntry, HugeEntry, PageTable, Translation};
 use crate::types::{Hvpn, PageSize, Vpn};
 use crate::vma::{Vma, VmaKind};
 use hawkeye_mem::Pfn;
@@ -121,9 +121,9 @@ impl AddressSpace {
         self.pt.translate(vpn)
     }
 
-    /// Translates an access, setting accessed/dirty bits. `None` means the
-    /// caller must take a page fault (unmapped, or write to zero-COW).
-    pub fn access(&mut self, vpn: Vpn, write: bool) -> Option<Translation> {
+    /// Translates an access, setting accessed/dirty bits. An error names
+    /// the page fault the caller must take (see [`PageTable::access`]).
+    pub fn access(&mut self, vpn: Vpn, write: bool) -> Result<Translation, AccessMiss> {
         self.pt.access(vpn, write)
     }
 
@@ -360,9 +360,9 @@ mod tests {
     #[test]
     fn access_faults_on_unmapped() {
         let mut s = space_with_anon(100);
-        assert!(s.access(Vpn(5), false).is_none());
+        assert_eq!(s.access(Vpn(5), false), Err(AccessMiss::Unmapped));
         s.map_base(Vpn(5), Pfn(9)).unwrap();
-        assert!(s.access(Vpn(5), false).is_some());
+        assert!(s.access(Vpn(5), false).is_ok());
     }
 
     #[test]

@@ -142,7 +142,7 @@ proptest! {
                             prop_assert_eq!(t.pfn.0, *pfn);
                             prop_assert_eq!(t.size == PageSize::Huge, *huge);
                         }
-                        None => prop_assert!(t.is_none(), "unmapped page translated"),
+                        None => prop_assert!(t.is_err(), "unmapped page translated"),
                     }
                 }
             }

@@ -124,6 +124,13 @@ cargo run --release -q -p hawkeye-analyze -- --check \
 echo "==> golden registry fixture (crates/bench/tests/fixtures/registry_golden.txt)"
 cargo test -p hawkeye-bench --test registry_golden -q
 
+# Flush points: the fault path batches its registry charges per quantum.
+# Every traced cycle_sample must still balance the CPU ledger against
+# unhalted, and a virtualized host machine (advanced outside the
+# simulator) must publish its fault charges to the closed registry.
+echo "==> registry flush points (crates/bench/tests/flush_points.rs)"
+cargo test -p hawkeye-bench --test flush_points -q
+
 # Touch-throughput smoke: --quick scales the run down to 1 M touches per
 # shape and asserts each finishes inside a 30 s budget, so a fast-path
 # regression (e.g. the streak batcher silently falling back to the
